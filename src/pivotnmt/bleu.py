@@ -1,8 +1,11 @@
 """Corpus-level BLEU-4 with clipped n-gram counts and brevity penalty.
 
 Plain (unsmoothed) corpus BLEU is the primary metric: any zero n-gram
-precision zeroes the score. A smoothed sentence-level variant exists for
-diagnostics only.
+precision zeroes the score. An order of which the hypotheses hold no n-grams
+at all (every sentence shorter than n) carries no evidence and is left out
+of the geometric mean, so a corpus of identical 3-token sentences scores 100;
+its precision is reported as 0. A smoothed sentence-level variant exists for
+diagnostics only; it keeps all four orders.
 """
 
 from __future__ import annotations
@@ -75,8 +78,9 @@ def bleu(hypotheses, references, smooth: bool = False) -> BleuReport:
     else:
         bp = math.exp(1.0 - ref_len / hyp_len)
 
-    if all(p > 0 for p in precisions):
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / MAX_N) * 100.0
+    used = [p for p, t in zip(precisions, total) if smooth or t > 0]
+    if used and all(p > 0 for p in used):
+        score = bp * math.exp(sum(math.log(p) for p in used) / len(used)) * 100.0
     else:
         score = 0.0
     return BleuReport(

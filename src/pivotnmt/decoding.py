@@ -4,6 +4,20 @@ Beam search runs batched over sentences: at every step all live hypotheses
 across the batch share one decoder call. Hypotheses are ranked by
 length-normalized score (logprob / len^alpha; alpha=0 means raw logprob),
 and beam size 1 reduces exactly to greedy decoding.
+
+Decoding is incremental (see `model.DecodeState`): the encoder memory is
+projected for cross-attention once per sentence, and each step feeds only the
+newest token of every live hypothesis. Each state row belongs to one live
+hypothesis; after a step the search gathers the rows of the hypotheses that
+survive, a parent row once per child, with one `DecodeState.reorder`.
+
+A sentence stops early, when alpha == 0, as soon as its best completed
+hypothesis scores at least as high as its best live one. That is exact:
+token log-probabilities are never positive, so no extension of a live
+hypothesis can outscore it, and a later completion with an equal score loses
+the tie to the earlier one. With alpha > 0 dividing by len^alpha can raise a
+longer hypothesis above a shorter one, so the search runs every sentence
+until all its hypotheses end or reach the length cap.
 """
 
 from __future__ import annotations
@@ -83,12 +97,13 @@ def beam_search_batch(
         src[r, : len(src_id_lists[i])] = src_id_lists[i]
     model.set_train(False)
     with T.no_grad():
-        memory = model.encode(src, adapter=adapter).data
+        memory = model.encode(src, adapter=adapter)
+    state = model.start_decode(memory, src)
 
     k = cfg.beam_size
     alpha = cfg.length_normalization_alpha
-    beams = {r: [Hypothesis(ids=(), logprob=0.0, completed=False)] for r in range(len(live_idx))}
     finished: dict = {r: [] for r in range(len(live_idx))}
+    best_done: dict = {}  # sentence -> highest logprob among its completed hypotheses
     # decoder prefixes (bos + ids) cannot outgrow the positional table
     hard_cap = model.config.max_len - 1
     caps = {
@@ -96,44 +111,43 @@ def beam_search_batch(
         for r, i in enumerate(live_idx)
     }
 
-    step = 0
-    while True:
-        rows = [(r, h) for r in beams for h in beams[r] if not h.completed]
-        if not rows:
-            break
-        prefix = np.empty((len(rows), step + 1), dtype=np.int64)
-        for j, (r, h) in enumerate(rows):
-            prefix[j, 0] = tv.bos_id
-            if step:
-                prefix[j, 1:] = h.ids
-        mem_rows = memory[[r for r, _ in rows]]
-        src_rows = src[[r for r, _ in rows]]
-        logits = model.step_logits(prefix, T.Tensor(mem_rows, dtype=mem_rows.dtype), src_rows)
+    # one (sentence, live hypothesis) per decode-state row
+    rows = [(r, Hypothesis(ids=(), logprob=0.0, completed=False)) for r in range(len(live_idx))]
+    tokens = np.full((len(rows), 1), tv.bos_id, dtype=np.int64)
+    while rows:
+        logits = model.step_logits(tokens, state)
         logp = _log_softmax(logits.astype(np.float64))
 
         by_sentence: dict = {}
         for j, (r, h) in enumerate(rows):
-            by_sentence.setdefault(r, []).append((h, logp[j]))
-        next_beams: dict = {}
+            by_sentence.setdefault(r, []).append((j, h, logp[j]))
+        next_rows, parents = [], []
         for r, items in by_sentence.items():
             candidates = []
-            for h, lp in items:
+            for j, h, lp in items:
                 top = np.argpartition(-lp, min(k, lp.size - 1))[:k]
                 for t in top:
-                    candidates.append((h.logprob + lp[t], int(t), h))
+                    candidates.append((h.logprob + lp[t], int(t), j, h))
             candidates.sort(key=lambda c: -c[0])
-            new_hyps = []
-            for score, tok, h in candidates[:k]:
+            live = []
+            for score, tok, j, h in candidates[:k]:
                 ids = h.ids + (tok,)
                 if tok == tv.eos_id:
                     finished[r].append(Hypothesis(ids=ids[:-1], logprob=score, completed=True))
+                    best_done[r] = max(best_done.get(r, score), score)
                 elif len(ids) >= caps[r]:
                     finished[r].append(Hypothesis(ids=ids, logprob=score, completed=False))
                 else:
-                    new_hyps.append(Hypothesis(ids=ids, logprob=score, completed=False))
-            next_beams[r] = new_hyps
-        beams = {r: hs for r, hs in next_beams.items() if hs}
-        step += 1
+                    live.append((j, Hypothesis(ids=ids, logprob=score, completed=False)))
+            if alpha == 0.0 and r in best_done and live and best_done[r] >= live[0][1].logprob:
+                live = []  # candidates are sorted: live[0] is the best live hypothesis
+            for j, h in live:
+                next_rows.append((r, h))
+                parents.append(j)
+        rows = next_rows
+        if rows:
+            state.reorder(parents)
+            tokens = np.array([[h.ids[-1]] for _, h in rows], dtype=np.int64)
 
     for r, i in enumerate(live_idx):
         pool = finished[r]

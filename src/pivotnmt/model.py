@@ -8,6 +8,15 @@ inside the src_embed group where freezing expects them.
 
 An optional d x d adapter matrix can be applied position-wise to the encoder
 output, after the final encoder norm, as the last step before cross-attention.
+
+Training and scoring run the decoder over whole target prefixes
+(`decode_states`). Decoding runs it one position at a time:
+`start_decode` projects every sentence's encoder memory into each layer's
+cross-attention keys and values once, and each `step_logits` call feeds one
+token per row, appends that position's self-attention key and value per
+layer to the `DecodeState` and returns the logits of that position only.
+A beam search that keeps, drops or duplicates rows between steps reorders
+the whole state with `DecodeState.reorder`, one gather per cached array.
 """
 
 from __future__ import annotations
@@ -24,6 +33,40 @@ from .data import Batch
 
 class ModelError(Exception):
     pass
+
+
+@dataclass
+class DecodeState:
+    """Per-row decoder cache of an incremental decode.
+
+    Row j is one hypothesis. Per decoder layer i:
+      self_k[i]  (rows, heads, dh, length)  self-attention keys of every fed
+                 position, stored transposed for the score product
+      self_v[i]  (rows, heads, length, dh)  self-attention values
+      cross_k[i] (rows, heads, dh, Ls)      projected encoder memory, transposed
+      cross_v[i] (rows, heads, Ls, dh)
+    src_pad (rows, Ls) is True at source padding; length counts fed positions.
+    """
+
+    self_k: list
+    self_v: list
+    cross_k: list
+    cross_v: list
+    src_pad: np.ndarray
+    length: int = 0
+
+    @property
+    def rows(self) -> int:
+        return self.src_pad.shape[0]
+
+    def reorder(self, parents) -> None:
+        """Row j becomes a copy of row parents[j]; rows not named are dropped."""
+        idx = np.asarray(parents, dtype=np.intp)
+        self.self_k = [a[idx] for a in self.self_k]
+        self.self_v = [a[idx] for a in self.self_v]
+        self.cross_k = [a[idx] for a in self.cross_k]
+        self.cross_v = [a[idx] for a in self.cross_v]
+        self.src_pad = self.src_pad[idx]
 
 
 @dataclass
@@ -212,27 +255,40 @@ class Seq2SeqModel:
         dh = self.config.model_dim // h
         return T.transpose(T.reshape(x, (b, length, h, dh)), (0, 2, 1, 3))
 
-    def _attention(self, prefix, q_in, kv_in, b, lq, lkv, mask):
-        """Multi-head attention; mask is a bool (b, h, lq, lkv) array, True = blocked."""
-        d = self.config.model_dim
-        dh = d // self.config.heads
-        q = self._split_heads(T.affine(q_in, self._p(f"{prefix}/wq/w"), self._p(f"{prefix}/wq/b")), b, lq)
-        k = self._split_heads(T.affine(kv_in, self._p(f"{prefix}/wk/w"), self._p(f"{prefix}/wk/b")), b, lkv)
-        v = self._split_heads(T.affine(kv_in, self._p(f"{prefix}/wv/w"), self._p(f"{prefix}/wv/b")), b, lkv)
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    def _linear(self, name, x2d) -> T.Tensor:
+        return T.affine(x2d, self._p(f"{name}/w"), self._p(f"{name}/b"))
+
+    def _heads(self, prefix, proj, x2d, b, length) -> T.Tensor:
+        """Project (b * length, d) rows with {prefix}/{proj}; split -> (b, h, length, dh)."""
+        return self._split_heads(self._linear(f"{prefix}/{proj}", x2d), b, length)
+
+    def _attend(self, prefix, q, k_t, v, mask) -> T.Tensor:
+        """Attention of q (b, h, lq, dh) over keys k_t (b, h, dh, lkv) and values
+        v (b, h, lkv, dh), then the output projection -> (b * lq, d).
+
+        mask is a bool (b, h, lq, lkv) array, True = blocked.
+        """
+        b, _, lq, dh = q.shape
+        scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(dh))
         if mask is not None:
             scores = T.masked_fill(scores, mask, -1e9)
         attn = T.softmax(scores)
         ctx = T.matmul(attn, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * lq, d))
-        return T.affine(ctx, self._p(f"{prefix}/wo/w"), self._p(f"{prefix}/wo/b"))
+        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * lq, self.config.model_dim))
+        return self._linear(f"{prefix}/wo", ctx)
+
+    def _attention(self, prefix, q_in, kv_in, b, lq, lkv, mask):
+        """Multi-head attention; mask is a bool (b, h, lq, lkv) array, True = blocked."""
+        q = self._heads(prefix, "wq", q_in, b, lq)
+        k = self._heads(prefix, "wk", kv_in, b, lkv)
+        v = self._heads(prefix, "wv", kv_in, b, lkv)
+        return self._attend(prefix, q, T.transpose(k, (0, 1, 3, 2)), v, mask)
 
     def _norm(self, name, x):
         return T.layer_norm(x, self._p(f"{name}/gain"), self._p(f"{name}/bias"))
 
     def _ff(self, prefix, x2d):
-        h = T.relu(T.affine(x2d, self._p(f"{prefix}/w1/w"), self._p(f"{prefix}/w1/b")))
-        return T.affine(h, self._p(f"{prefix}/w2/w"), self._p(f"{prefix}/w2/b"))
+        return self._linear(f"{prefix}/w2", T.relu(self._linear(f"{prefix}/w1", x2d)))
 
     # -- encoder / decoder --------------------------------------------------
 
@@ -295,13 +351,13 @@ class Seq2SeqModel:
         return self._norm("decoder/final_norm", x)
 
     def output_logits(self, dec_states: T.Tensor) -> T.Tensor:
-        b, lt, d = dec_states.shape
-        flat = T.reshape(dec_states, (b * lt, d))
+        """Vocabulary logits (positions, V) of decoder states (..., d)."""
+        flat = T.reshape(dec_states, (-1, self.config.model_dim))
         if self.config.tied_output_embedding:
             logits = T.matmul(flat, T.transpose(self._p("tgt_embed/tok")))
         else:
             logits = T.matmul(flat, self._p("output_proj/w"))
-        return logits  # (b * lt, V)
+        return logits
 
     def decoder_input(self, tgt_ids: np.ndarray) -> np.ndarray:
         dec_in = np.full_like(tgt_ids, self.tgt_vocab.pad_id)
@@ -345,13 +401,90 @@ class Seq2SeqModel:
             raise ModelError("batch has an all-padding target")
         return -(tok_lp * mask).sum(axis=1) / counts
 
-    def step_logits(self, prefix_ids: np.ndarray, memory: T.Tensor, src_ids: np.ndarray) -> np.ndarray:
-        """Next-token logits (B, V) for decoding; no tape recording."""
+    def start_decode(self, memory: T.Tensor, src_ids: np.ndarray) -> DecodeState:
+        """Empty decode state for the sentences of `memory` (B, Ls, d), one row each.
+
+        Every layer's cross-attention keys and values are projected here, once
+        per sentence; no tape recording.
+        """
+        b, ls, d = memory.shape
+        src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
+        if src_pad.shape != (b, ls):
+            raise ModelError(f"src ids {src_pad.shape} do not match memory {memory.shape}")
+        h = self.config.heads
+        dh = d // h
+        layers = self.config.layers
         with T.no_grad():
-            states = self.decode_states(prefix_ids, memory, src_ids)
-            logits = self.output_logits(states).data
-        b, lt = prefix_ids.shape
-        return logits.reshape(b, lt, -1)[:, -1, :]
+            mem2d = T.reshape(memory, (b * ls, d))
+            cross_k, cross_v = [], []
+            for i in range(layers):
+                p = f"decoder/l{i}/cross_attn"
+                cross_k.append(T.transpose(self._heads(p, "wk", mem2d, b, ls), (0, 1, 3, 2)).data)
+                cross_v.append(self._heads(p, "wv", mem2d, b, ls).data)
+        dt = memory.dtype
+        return DecodeState(
+            self_k=[np.zeros((b, h, dh, 0), dtype=dt)] * layers,
+            self_v=[np.zeros((b, h, 0, dh), dtype=dt)] * layers,
+            cross_k=cross_k,
+            cross_v=cross_v,
+            src_pad=src_pad,
+        )
+
+    def step_logits(self, ids: np.ndarray, state: DecodeState) -> np.ndarray:
+        """Feed one token per row, ids (rows, 1), at position state.length.
+
+        Returns that position's next-token logits (rows, V) and advances
+        `state` by one position. Inference only: no dropout, no tape recording.
+        """
+        ids = np.asarray(ids)
+        rows = state.rows
+        if ids.shape != (rows, 1):
+            raise ModelError(f"step ids must be ({rows}, 1), got {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.tgt_vocab)):
+            raise ModelError("target id out of vocabulary range")
+        t = state.length
+        if t >= self.config.max_len:
+            raise ModelError(
+                f"decode position {t} exceeds max_len {self.config.max_len}"
+            )
+        d = self.config.model_dim
+        h = self.config.heads
+        dh = d // h
+        ls = state.src_pad.shape[1]
+        cross_mask = np.broadcast_to(state.src_pad[:, None, None, :], (rows, h, 1, ls))
+        self_k, self_v = [], []
+        with T.no_grad():
+            tok = T.embedding(self._p("tgt_embed/tok"), ids[:, 0])
+            pos = T.embedding(self._p("tgt_embed/pos"), np.full(rows, t))
+            x = T.scale(T.add(tok, pos), math.sqrt(d))  # (rows, d)
+            for i in range(self.config.layers):
+                p = f"decoder/l{i}"
+                y = self._norm(f"{p}/self_norm", x)
+                # one position: (rows, d) reshapes to any head layout without a transpose
+                q = T.reshape(self._linear(f"{p}/self_attn/wq", y), (rows, h, 1, dh))
+                k = self._linear(f"{p}/self_attn/wk", y).data.reshape(rows, h, dh, 1)
+                v = self._linear(f"{p}/self_attn/wv", y).data.reshape(rows, h, 1, dh)
+                self_k.append(np.concatenate((state.self_k[i], k), axis=3))
+                self_v.append(np.concatenate((state.self_v[i], v), axis=2))
+                a = self._attend(
+                    f"{p}/self_attn", q, T.Tensor(self_k[i]), T.Tensor(self_v[i]), None
+                )
+                x = T.add(x, a)
+                y = self._norm(f"{p}/cross_norm", x)
+                q = T.reshape(self._linear(f"{p}/cross_attn/wq", y), (rows, h, 1, dh))
+                a = self._attend(
+                    f"{p}/cross_attn",
+                    q,
+                    T.Tensor(state.cross_k[i]),
+                    T.Tensor(state.cross_v[i]),
+                    cross_mask,
+                )
+                x = T.add(x, a)
+                x = T.add(x, self._ff(f"{p}/ff", self._norm(f"{p}/ff_norm", x)))
+            logits = self.output_logits(self._norm("decoder/final_norm", x)).data
+        state.self_k, state.self_v = self_k, self_v
+        state.length = t + 1
+        return logits
 
     # -- surgery helpers ----------------------------------------------------
 

@@ -8,19 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotnmt import bpe
+from pivotnmt import bpe, decoding
+from pivotnmt import tensor as T
 from pivotnmt.bleu import BleuError, bleu, sentence_bleu
 from pivotnmt.data import ParallelCorpus
 from pivotnmt.decoding import (
     BeamConfig,
     DecodeError,
+    Hypothesis,
     backtranslate,
     beam_search_batch,
     distill_teacher_student,
     pivot_translate,
     translate_tokens,
 )
-from pivotnmt.model import ModelConfig, init_params
+from pivotnmt.model import ModelConfig, Seq2SeqModel, init_params
 from pivotnmt.training import TrainSchedule, model_of, train
 
 
@@ -44,6 +46,15 @@ def test_bleu_no_fourgram_match_is_zero():
     rep = bleu([["a", "b", "c", "x"]], [["a", "b", "c", "d"]])
     assert rep.precisions[3] == 0.0
     assert rep.score == 0.0
+
+
+def test_bleu_ignores_orders_the_corpus_lacks():
+    # 3-token sentences have no 4-grams: BLEU is the mean over orders 1-3
+    rep = bleu([["1", "2", "3"]] * 5, [["1", "2", "3"]] * 5)
+    assert rep.score == pytest.approx(100.0)
+    rep = bleu([["a", "b", "c"], ["x", "y"]], [["a", "b", "c"], ["x", "z"]])
+    assert rep.score == pytest.approx(100.0 * (4 / 5 * 2 / 3 * 1.0) ** (1 / 3))
+    assert bleu([["a", "x"]], [["a", "b"]]).score == 0.0  # present order, no match
 
 
 def test_bleu_errors():
@@ -184,6 +195,196 @@ def test_decode_deterministic(copy_model):
     a = translate_tokens(model, sents, BeamConfig(beam_size=4))
     b = translate_tokens(model, sents, BeamConfig(beam_size=4))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# incremental beam search against the full-recompute reference
+# ---------------------------------------------------------------------------
+
+def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
+    """Beam search that re-runs the decoder over every whole prefix at every
+    step and never stops a sentence early: the reference for
+    `beam_search_batch`. Appends its step count to `steps` if given."""
+    sv, tv = model.src_vocab, model.tgt_vocab
+    n = len(src_id_lists)
+    results = [None] * n
+    live_idx = [i for i, ids in enumerate(src_id_lists) if ids]
+    for i in range(n):
+        if not src_id_lists[i]:
+            results[i] = Hypothesis(ids=(), logprob=0.0, completed=True)
+    if not live_idx:
+        return results
+
+    width = max(len(src_id_lists[i]) for i in live_idx)
+    src = np.full((len(live_idx), width), sv.pad_id, dtype=np.int64)
+    for r, i in enumerate(live_idx):
+        src[r, : len(src_id_lists[i])] = src_id_lists[i]
+    model.set_train(False)
+    with T.no_grad():
+        memory = model.encode(src, adapter=adapter).data
+
+    k = cfg.beam_size
+    alpha = cfg.length_normalization_alpha
+    beams = {r: [Hypothesis(ids=(), logprob=0.0, completed=False)] for r in range(len(live_idx))}
+    finished = {r: [] for r in range(len(live_idx))}
+    hard_cap = model.config.max_len - 1
+    caps = {
+        r: max(1, min(cfg.cap(len(src_id_lists[i])), hard_cap))
+        for r, i in enumerate(live_idx)
+    }
+
+    step = 0
+    while True:
+        rows = [(r, h) for r in beams for h in beams[r] if not h.completed]
+        if not rows:
+            break
+        prefix = np.empty((len(rows), step + 1), dtype=np.int64)
+        for j, (r, h) in enumerate(rows):
+            prefix[j, 0] = tv.bos_id
+            if step:
+                prefix[j, 1:] = h.ids
+        mem_rows = T.Tensor(memory[[r for r, _ in rows]])
+        src_rows = src[[r for r, _ in rows]]
+        with T.no_grad():
+            states = model.decode_states(prefix, mem_rows, src_rows)
+            logits = model.output_logits(states).data.reshape(len(rows), step + 1, -1)[:, -1, :]
+        logp = decoding._log_softmax(logits.astype(np.float64))
+
+        by_sentence = {}
+        for j, (r, h) in enumerate(rows):
+            by_sentence.setdefault(r, []).append((h, logp[j]))
+        next_beams = {}
+        for r, items in by_sentence.items():
+            candidates = []
+            for h, lp in items:
+                top = np.argpartition(-lp, min(k, lp.size - 1))[:k]
+                for t in top:
+                    candidates.append((h.logprob + lp[t], int(t), h))
+            candidates.sort(key=lambda c: -c[0])
+            new_hyps = []
+            for score, tok, h in candidates[:k]:
+                ids = h.ids + (tok,)
+                if tok == tv.eos_id:
+                    finished[r].append(Hypothesis(ids=ids[:-1], logprob=score, completed=True))
+                elif len(ids) >= caps[r]:
+                    finished[r].append(Hypothesis(ids=ids, logprob=score, completed=False))
+                else:
+                    new_hyps.append(Hypothesis(ids=ids, logprob=score, completed=False))
+            next_beams[r] = new_hyps
+        beams = {r: hs for r, hs in next_beams.items() if hs}
+        step += 1
+
+    for r, i in enumerate(live_idx):
+        pool = finished[r]
+        complete = [h for h in pool if h.completed]
+        results[i] = max(complete if complete else pool, key=lambda h: h.normalized(alpha))
+    if steps is not None:
+        steps.append(step)
+    return results
+
+
+def assert_same_hypotheses(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.ids == w.ids
+        assert g.completed == w.completed
+        assert g.logprob == pytest.approx(w.logprob, abs=1e-6)
+
+
+def source_ids(model, sents):
+    sv = model.src_vocab
+    return [sv.encode(s) + [sv.eos_id] if s else [] for s in sents]
+
+
+@pytest.mark.parametrize("beam", [1, 2, 4])
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_beam_search_matches_full_recompute_reference(copy_model, beam, alpha):
+    model, corpus = copy_model
+    # a padded batch of mixed lengths, an empty input and a tight length cap
+    ids = source_ids(model, [s for s, _ in corpus.pairs[:12]] + [[]])
+    for cfg in (
+        BeamConfig(beam_size=beam, length_normalization_alpha=alpha),
+        BeamConfig(beam_size=beam, length_normalization_alpha=alpha,
+                   max_length_factor=0.5, max_length_constant=0),
+    ):
+        assert_same_hypotheses(
+            beam_search_batch(model, ids, cfg), reference_beam_search(model, ids, cfg)
+        )
+
+
+def test_pivot_translate_matches_full_recompute_reference(pivot_chain, monkeypatch):
+    m1, m2, corpus1 = pivot_chain
+    sents = [s for s, _ in corpus1.pairs[:16]]
+    passes = []
+    search = decoding.beam_search_batch
+
+    def with_reference(*args, **kwargs):
+        hyps = search(*args, **kwargs)
+        passes.append((hyps, reference_beam_search(*args, **kwargs)))
+        return hyps
+
+    monkeypatch.setattr(decoding, "beam_search_batch", with_reference)
+    pivot_translate(m1, m2, sents, BeamConfig(beam_size=4))
+    assert len(passes) == 2  # src->piv, then piv->tgt on the pivot hypotheses
+    for got, want in passes:
+        assert_same_hypotheses(got, want)
+
+
+def count_step_calls(monkeypatch) -> list:
+    calls = []
+    step = Seq2SeqModel.step_logits
+
+    def counting(self, ids, state):
+        calls.append(ids.shape[0])
+        return step(self, ids, state)
+
+    monkeypatch.setattr(Seq2SeqModel, "step_logits", counting)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [1, 6])
+def test_early_stop_bounds_steps_when_alpha_is_zero(copy_model, monkeypatch, batch):
+    model, corpus = copy_model
+    calls = count_step_calls(monkeypatch)
+    ids = source_ids(model, [s for s, _ in corpus.pairs[:24]])
+    cfg = BeamConfig(beam_size=4)
+    for lo in range(0, len(ids), batch):
+        chunk = ids[lo : lo + batch]
+        calls.clear()
+        steps = []
+        hyps = beam_search_batch(model, chunk, cfg)
+        assert_same_hypotheses(hyps, reference_beam_search(model, chunk, cfg, steps=steps))
+        assert len(calls) <= max(len(h.ids) for h in hyps) + 1
+        assert len(calls) <= steps[0]
+
+
+def test_no_pruning_when_alpha_is_positive(copy_model, monkeypatch):
+    model, corpus = copy_model
+    calls = count_step_calls(monkeypatch)
+    ids = source_ids(model, [s for s, _ in corpus.pairs[:8]])
+    cfg = BeamConfig(beam_size=4, length_normalization_alpha=0.6)
+    for one in ids:
+        calls.clear()
+        steps = []
+        hyps = beam_search_batch(model, [one], cfg)
+        assert_same_hypotheses(hyps, reference_beam_search(model, [one], cfg, steps=steps))
+        assert len(calls) == steps[0]
+
+
+def test_tiny_max_len_decodes_to_hard_cap():
+    vocab_s, vocab_t = word_list_vocab(WORDS_A), word_list_vocab(WORDS_B)
+    cfg = ModelConfig(layers=1, model_dim=8, ff_dim=16, heads=2, dropout=0.0, max_len=4)
+    model = init_params(cfg, vocab_s, vocab_t, seed=0)
+    # every decoder state becomes the final-norm bias, and end-of-sentence
+    # (tied output embedding) the lowest logit: no hypothesis ever ends
+    model.params["decoder/final_norm/gain"].data[:] = 0.0
+    model.params["decoder/final_norm/bias"].data[:] = 1.0
+    model.params["tgt_embed/tok"].data[vocab_t.eos_id] = -1.0
+    ids = [vocab_s.encode(["a1", "a2", "a3"]) + [vocab_s.eos_id], vocab_s.encode(["a4"])]
+    for beam in (1, 4):
+        hyps = beam_search_batch(model, ids, BeamConfig(beam_size=beam))
+        assert [len(h.ids) for h in hyps] == [cfg.max_len - 1] * 2
+        assert not any(h.completed for h in hyps)
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,8 @@ def tiny_vocab(prefix, n):
 
 
 def tiny_model(seed=0, dtype="float64", dropout=0.0, **kw) -> Seq2SeqModel:
-    cfg = ModelConfig(
-        layers=1,
-        model_dim=8,
-        ff_dim=16,
-        heads=2,
-        dropout=dropout,
-        max_len=16,
-        dtype=dtype,
-        **kw,
-    )
+    sizes = dict(layers=1, model_dim=8, ff_dim=16, heads=2, max_len=16)
+    cfg = ModelConfig(dropout=dropout, dtype=dtype, **{**sizes, **kw})
     return init_params(cfg, tiny_vocab("s", 7), tiny_vocab("t", 9), seed)
 
 
@@ -221,3 +213,62 @@ def test_frozen_group_receives_no_update():
         n for n in model.param_names("decoder") if model.params[n].grad is not None
     ]
     assert moved
+
+
+# ---------------------------------------------------------------------------
+# incremental decoding
+# ---------------------------------------------------------------------------
+
+# float32 incremental vs full-prefix decoding: only the BLAS summation order differs
+STEP_RTOL, STEP_ATOL = 1e-4, 1e-5
+
+
+def full_prefix_logits(model, prefix, memory, src):
+    """Logits of each row's last position, re-running the decoder over the whole prefix."""
+    with T.no_grad():
+        states = model.decode_states(prefix, T.Tensor(memory), src)
+        logits = model.output_logits(states).data
+    return logits.reshape(prefix.shape[0], prefix.shape[1], -1)[:, -1, :]
+
+
+def test_step_logits_match_decode_states_with_reorder_and_adapter():
+    model = tiny_model(dtype="float32", layers=2)
+    rng = np.random.default_rng(7)
+    sv, tv = model.src_vocab, model.tgt_vocab
+    src = rng.integers(sv.n_special, len(sv), size=(2, 5))
+    src[0, 3:] = sv.pad_id  # padded source
+    adapter = make_baseline_adapter("random", 8, seed=3)
+    memory = model.encode(src, adapter=adapter)
+    state = model.start_decode(memory, src)
+
+    sentence = np.arange(2)  # source sentence of each state row
+    prefix = np.full((2, 1), tv.bos_id)
+    # each step's reorder: keep, duplicate and drop rows as a beam search does
+    reorders = [[0, 0, 1], [2, 0, 1, 1], [3, 0], [1, 0, 0]]
+    for parents in [None] + reorders:
+        if parents is not None:
+            state.reorder(parents)
+            sentence = sentence[parents]
+            new = rng.integers(tv.n_special, len(tv), size=(len(parents), 1))
+            prefix = np.concatenate([prefix[parents], new], axis=1)
+        step = model.step_logits(prefix[:, -1:], state)
+        full = full_prefix_logits(model, prefix, memory.data[sentence], src[sentence])
+        assert step.shape == (len(sentence), len(tv))
+        np.testing.assert_allclose(step, full, rtol=STEP_RTOL, atol=STEP_ATOL)
+    assert state.length == prefix.shape[1]
+
+
+def test_step_logits_rejects_bad_ids_and_positions_past_max_len():
+    model = tiny_model(max_len=4)
+    src = np.array([[4, 5, 6]])
+    state = model.start_decode(model.encode(src), src)
+    bos = np.array([[model.tgt_vocab.bos_id]])
+    with pytest.raises(ModelError):
+        model.step_logits(np.array([[99]]), state)
+    with pytest.raises(ModelError):
+        model.step_logits(np.array([bos[0, 0]]), state)  # not (rows, 1)
+    for _ in range(4):
+        model.step_logits(bos, state)
+    with pytest.raises(ModelError):
+        model.step_logits(bos, state)
+    assert state.length == 4
