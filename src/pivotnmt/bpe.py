@@ -32,6 +32,10 @@ class BpeError(Exception):
     pass
 
 
+class HashMismatchError(Exception):
+    """Artifacts that must share a vocabulary carry different content hashes."""
+
+
 def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(word) + (END_OF_WORD,)
 

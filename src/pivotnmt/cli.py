@@ -8,8 +8,9 @@ loudly on any mismatch.
 
 Errors exit nonzero with one machine-parseable line on stderr:
     error code=<class> msg="<details>"
-where <class> is one of usage, missing-input, invalid-config, hash-mismatch,
-runtime.
+where <class>, chosen from the exception's type, is one of usage (exit 2),
+missing-input (3), invalid-config (4, malformed config or input files),
+hash-mismatch (5, vocabulary or manifest hashes disagree) or runtime (1).
 """
 
 from __future__ import annotations
@@ -19,29 +20,22 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bpe
-from .adapter import AdapterMatrix, collect_pairs, fit_adapter
+from .adapter import AdapterError, AdapterMatrix, collect_pairs, fit_adapter
 from .bleu import bleu
-from .checkpoint import Checkpoint
-from .data import NoiseConfig, ParallelCorpus
-from .decoding import BeamConfig, backtranslate, distill_teacher_student, pivot_translate, translate_tokens
+from .checkpoint import Checkpoint, CheckpointError
+from .data import CorpusError, NoiseConfig, ParallelCorpus
+from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
 from .model import ModelConfig, init_params
-from .recipes import (
-    GRIDS,
-    RecipeError,
-    Settings,
-    Workbench,
-    run_recipe,
-)
+from .recipes import GRIDS, RECIPES, Settings, Workbench, run_recipe
 from .toyworld import ToyWorldSpec, write_toy_corpora
 from .training import (
     TrainSchedule,
-    TrainingError,
     crosslingual_pretrain,
     finetune,
     model_of,
@@ -67,6 +61,22 @@ _EXIT_CODES = {
     "runtime": 1,
 }
 
+# error class of an exception type; the first entry that matches wins
+_ERROR_CLASSES = (
+    (bpe.HashMismatchError, "hash-mismatch"),
+    (FileNotFoundError, "missing-input"),
+    (
+        (bpe.BpeError, CheckpointError, AdapterError, CorpusError, ValueError, KeyError),
+        "invalid-config",
+    ),
+)
+
+
+def _error_class(e: Exception) -> str:
+    if isinstance(e, CliError):
+        return e.code
+    return next((code for types, code in _ERROR_CLASSES if isinstance(e, types)), "runtime")
+
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
@@ -74,6 +84,12 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 class RunManifest:
@@ -96,9 +112,7 @@ class RunManifest:
 
     def save(self):
         payload = {"artifacts": sorted(self.entries, key=lambda e: e["path"])}
-        with open(self.run_dir / "manifest.json", "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(self.run_dir / "manifest.json", payload)
 
     @staticmethod
     def verify(run_dir) -> list:
@@ -403,38 +417,26 @@ def cmd_pivot_decode(args):
     return 0
 
 
-def cmd_distill(args):
-    teacher = model_of(
-        Checkpoint.load(_require_file(args.teacher, "teacher checkpoint")),
-        _vocab(args.piv_vocab), _vocab(args.tgt_vocab),
+def _translate_pivot_side(args, corpus, ckpt, to_vocab, to_lang):
+    """Replace the pivot side of `corpus` by its translation into `to_lang`."""
+    model = model_of(
+        Checkpoint.load(_require_file(ckpt, "checkpoint")), _vocab(args.piv_vocab), _vocab(to_vocab)
     )
     piv_bpe = bpe.BpeModel.load(_require_file(args.piv_bpe, "pivot BPE model"))
-    corpus = _load_corpus(args.src, args.piv, "src", "piv")
-    synth, dropped = distill_teacher_student(
-        corpus, teacher, _beam_from_args(args), out_lang="tgt",
-        segment=lambda p: bpe.apply_bpe(piv_bpe, " ".join(p)),
-        detokenize=lambda toks: bpe.detokenize(toks).split(),
-    )
+    synth, dropped = translate_side(corpus, model, _beam_from_args(args), "piv", to_lang, piv_bpe)
     synth.save(args.out_src, args.out_tgt)
-    print(f"distilled {len(synth)} pairs ({dropped} dropped)")
+    print(f"{len(synth)} synthetic pairs ({dropped} dropped)")
     return 0
+
+
+def cmd_distill(args):
+    corpus = _load_corpus(args.src, args.piv, "src", "piv")
+    return _translate_pivot_side(args, corpus, args.teacher, args.tgt_vocab, "tgt")
 
 
 def cmd_backtranslate(args):
-    model = model_of(
-        Checkpoint.load(_require_file(args.piv_src_ckpt, "checkpoint")),
-        _vocab(args.piv_vocab), _vocab(args.src_vocab),
-    )
-    piv_bpe = bpe.BpeModel.load(_require_file(args.piv_bpe, "pivot BPE model"))
     corpus = _load_corpus(args.piv, args.tgt, "piv", "tgt")
-    synth, dropped = backtranslate(
-        corpus, model, _beam_from_args(args), out_lang="src",
-        segment=lambda p: bpe.apply_bpe(piv_bpe, " ".join(p)),
-        detokenize=lambda toks: bpe.detokenize(toks).split(),
-    )
-    synth.save(args.out_src, args.out_tgt)
-    print(f"back-translated {len(synth)} pairs ({dropped} dropped)")
-    return 0
+    return _translate_pivot_side(args, corpus, args.piv_src_ckpt, args.src_vocab, "src")
 
 
 def cmd_bleu(args):
@@ -449,17 +451,14 @@ def cmd_recipe(args):
     raw = load_experiment_config(args.config, args.set or [])
     world, settings = experiment_pieces(raw)
     out_root = Path(args.out)
-    names = list(GRIDS[args.grid]) if args.grid else [args.name]
-    if not names or names == [None]:
-        raise CliError("usage", "recipe needs --name or --grid")
+    names = GRIDS[args.grid] if args.grid else args.name
     seeds = [int(s) for s in args.seeds.split(",")]
     cache_dir = out_root / "_stages"
     all_results = []
     for seed in seeds:
-        world_seeded = ToyWorldSpec(**{**asdict(world), "seed": seed})
-        wb = Workbench(world_seeded, settings, seed, cache_dir=cache_dir)
+        wb = Workbench(replace(world, seed=seed), settings, seed, cache_dir=cache_dir)
         for name in names:
-            run_dir = out_root / f"{name.replace('/', '_')}--seed{seed}"
+            run_dir = out_root / f"{name}--seed{seed}"
             manifest_path = run_dir / "manifest.json"
             if manifest_path.exists() and not args.force:
                 problems = RunManifest.verify(run_dir)
@@ -482,13 +481,9 @@ def cmd_recipe(args):
                 "config": raw,
             }
             report_path = run_dir / "report.json"
-            with open(report_path, "w", encoding="utf-8") as f:
-                json.dump(report, f, indent=2, sort_keys=True)
-                f.write("\n")
+            _write_json(report_path, report)
             config_path = run_dir / "config.json"
-            with open(config_path, "w", encoding="utf-8") as f:
-                json.dump(raw, f, indent=2, sort_keys=True)
-                f.write("\n")
+            _write_json(config_path, raw)
             manifest.add(report_path, "report", name)
             manifest.add(config_path, "config", name)
             manifest.save()
@@ -506,10 +501,7 @@ def cmd_recipe(args):
                 "sd": float(np.std(scores)),
                 "scores": scores,
             }
-        grid_path = out_root / f"grid-{args.grid}.json"
-        with open(grid_path, "w", encoding="utf-8") as f:
-            json.dump({"grid": args.grid, "summary": summary}, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(out_root / f"grid-{args.grid}.json", {"grid": args.grid, "summary": summary})
         print(f"\n{args.grid} (mean per recipe over seeds {seeds}):")
         for name in names:
             m = summary[name]
@@ -542,8 +534,14 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=1)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_CODES["usage"], f'error code=usage msg="{message}"\n')
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pivotnmt",
         description="Pivot-based transfer learning for desk-scale translation experiments",
     )
@@ -700,10 +698,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.set_defaults(func=cmd_bleu)
 
-    p = sub.add_parser("recipe", help="run a named end-to-end recipe or a grid")
+    p = sub.add_parser("recipe", help="run named end-to-end recipes or a grid")
     _add_common(p)
-    p.add_argument("--name", default=None)
-    p.add_argument("--grid", choices=sorted(GRIDS), default=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--name", nargs="+", choices=list(RECIPES), metavar="NAME",
+                       help=f"one or more of: {', '.join(RECIPES)}")
+    which.add_argument("--grid", choices=sorted(GRIDS))
     p.add_argument("--seeds", default="1")
     p.add_argument("--out", default="runs")
     p.add_argument("--force", action="store_true")
@@ -737,22 +737,11 @@ def main(argv=None) -> int:
             log.warning("threadpoolctl unavailable; serial mode not enforced")
     try:
         return args.func(args)
-    except CliError as e:
-        print(f'error code={e.code} msg="{e}"', file=sys.stderr)
-        return _EXIT_CODES.get(e.code, 1)
-    except FileNotFoundError as e:
-        print(f'error code=missing-input msg="{e}"', file=sys.stderr)
-        return _EXIT_CODES["missing-input"]
-    except (TrainingError, RecipeError) as e:
-        code = "hash-mismatch" if "hash mismatch" in str(e) else "runtime"
-        print(f'error code={code} msg="{e}"', file=sys.stderr)
+    except Exception as e:
+        code = _error_class(e)
+        msg = str(e) if isinstance(e, CliError) else f"{type(e).__name__}: {e}"
+        print(f'error code={code} msg="{msg}"', file=sys.stderr)
         return _EXIT_CODES[code]
-    except (bpe.BpeError, ValueError, KeyError) as e:
-        print(f'error code=invalid-config msg="{e}"', file=sys.stderr)
-        return _EXIT_CODES["invalid-config"]
-    except Exception as e:  # pragma: no cover - last resort
-        print(f'error code=runtime msg="{type(e).__name__}: {e}"', file=sys.stderr)
-        return _EXIT_CODES["runtime"]
 
 
 if __name__ == "__main__":

@@ -55,6 +55,15 @@ class ParallelCorpus:
             tgt_lang=self.tgt_lang,
         )
 
+    def flipped(self) -> "ParallelCorpus":
+        """The same pairs in the opposite direction."""
+        return ParallelCorpus(
+            pairs=[(t, s) for s, t in self.pairs],
+            src_lang=self.tgt_lang,
+            tgt_lang=self.src_lang,
+            weight=self.weight,
+        )
+
     def save(self, src_path, tgt_path):
         with open(src_path, "w", encoding="utf-8") as fs, open(
             tgt_path, "w", encoding="utf-8"

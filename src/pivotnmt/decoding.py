@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bpe
 from . import tensor as T
 from .data import ParallelCorpus
 from .model import Seq2SeqModel
@@ -35,6 +36,10 @@ log = logging.getLogger(__name__)
 
 
 class DecodeError(Exception):
+    pass
+
+
+class PivotVocabMismatch(DecodeError, bpe.HashMismatchError):
     pass
 
 
@@ -196,67 +201,48 @@ def pivot_translate(
         src_piv_model.tgt_vocab.content_hash()
         != piv_tgt_model.src_vocab.content_hash()
     ):
-        raise DecodeError("pivot vocabulary hash mismatch between the two models")
+        raise PivotVocabMismatch("pivot vocabulary hash mismatch between the two models")
     pivot_hyps = translate_tokens(src_piv_model, sentences, cfg, adapter=adapter)
     return translate_tokens(piv_tgt_model, pivot_hyps, cfg)
 
 
-def distill_teacher_student(
-    src_piv: ParallelCorpus,
-    teacher: Seq2SeqModel,
+def translate_side(
+    corpus: ParallelCorpus,
+    model: Seq2SeqModel,
     cfg: BeamConfig,
-    out_lang: str = "tgt",
-    segment=None,
-    detokenize=None,
+    from_lang: str,
+    to_lang: str,
+    side_bpe: bpe.BpeModel | None = None,
 ) -> tuple:
-    """Teacher-student synthetic data: (source, teacher(pivot)) for every pair.
+    """Synthetic parallel data: translate the `from_lang` side of every pair
+    into `to_lang` and keep the other side; returns (corpus, dropped).
 
-    `segment` maps a word-token list to the teacher's subword tokens;
-    `detokenize` maps subword tokens back to a word-token list. Pairs whose
-    decode comes back empty are dropped and counted.
+    Teacher-student distillation translates the pivot side of src-piv pairs
+    with a piv->tgt teacher; pivot-based back-translation translates the pivot
+    side of piv-tgt pairs with a piv->src model. With `side_bpe` the sides are
+    word lists, segmented with it before decoding and detokenized after;
+    without it they are the model's subword tokens. Pairs whose decode comes
+    back empty are dropped and counted.
     """
+    if (corpus.src_lang == from_lang) == (corpus.tgt_lang == from_lang):
+        raise DecodeError(
+            f"{from_lang} must be exactly one side of a {corpus.src_lang}-{corpus.tgt_lang} corpus"
+        )
+    side = 0 if corpus.src_lang == from_lang else 1
+    inputs = [pair[side] for pair in corpus.pairs]
+    if side_bpe is not None:
+        inputs = [bpe.apply_bpe(side_bpe, " ".join(x)) for x in inputs]
+    hyps = translate_tokens(model, inputs, cfg)
     synthetic = []
-    dropped = 0
-    pivot_sides = [p for _, p in src_piv.pairs]
-    seg = [segment(p) if segment else p for p in pivot_sides]
-    hyps = translate_tokens(teacher, seg, cfg)
-    for (s, _), hyp in zip(src_piv.pairs, hyps):
-        words = detokenize(hyp) if detokenize else hyp
-        if not words:
-            dropped += 1
-            continue
-        synthetic.append((list(s), list(words)))
+    for pair, hyp in zip(corpus.pairs, hyps):
+        words = bpe.detokenize(hyp).split() if side_bpe is not None else hyp
+        if words:
+            new = [list(pair[0]), list(pair[1])]
+            new[side] = list(words)
+            synthetic.append(tuple(new))
+    dropped = len(corpus.pairs) - len(synthetic)
     if dropped:
-        log.warning("distillation dropped %d pairs with empty decodes", dropped)
-    return (
-        ParallelCorpus(pairs=synthetic, src_lang=src_piv.src_lang, tgt_lang=out_lang),
-        dropped,
-    )
-
-
-def backtranslate(
-    piv_tgt: ParallelCorpus,
-    piv_src_model: Seq2SeqModel,
-    cfg: BeamConfig,
-    out_lang: str = "src",
-    segment=None,
-    detokenize=None,
-) -> tuple:
-    """Pivot-based back-translation: synthesize source sides for pivot-target data."""
-    synthetic = []
-    dropped = 0
-    pivot_sides = [p for p, _ in piv_tgt.pairs]
-    seg = [segment(p) if segment else p for p in pivot_sides]
-    hyps = translate_tokens(piv_src_model, seg, cfg)
-    for (_, t), hyp in zip(piv_tgt.pairs, hyps):
-        words = detokenize(hyp) if detokenize else hyp
-        if not words:
-            dropped += 1
-            continue
-        synthetic.append((list(words), list(t)))
-    if dropped:
-        log.warning("back-translation dropped %d pairs with empty decodes", dropped)
-    return (
-        ParallelCorpus(pairs=synthetic, src_lang=out_lang, tgt_lang=piv_tgt.tgt_lang),
-        dropped,
-    )
+        log.warning("dropped %d synthetic pairs with empty decodes", dropped)
+    langs = [corpus.src_lang, corpus.tgt_lang]
+    langs[side] = to_lang
+    return ParallelCorpus(pairs=synthetic, src_lang=langs[0], tgt_lang=langs[1]), dropped

@@ -2,11 +2,15 @@
 
 A Workbench owns one (world, settings, seed) tuple and lazily builds shared
 stages: subword models for the separate/joint/multilingual regimes, the
-pre-trained parents, adapters, and synthetic corpora. Recipes compose those
-stages and score the resulting system on the held-out source->target test
-set. Stages are cached in memory and, when a cache directory is given, on
-disk keyed by a digest of the full configuration, so grid runs share parents
-across recipes and reruns are no-ops.
+pre-trained parents, adapters, and synthetic corpora. Stages are cached in
+memory and, when a cache directory is given, checkpoints also on disk keyed
+by a digest of the full configuration, so grid runs share parents across
+recipes and reruns are no-ops.
+
+`RECIPES` maps each recipe name to a builder that composes those stages into
+a decodable source->target `System`; `run_recipe` scores every system the
+same way on the held-out test and validation sets. `GRIDS` groups the recipe
+names by the paper table they reproduce.
 """
 
 from __future__ import annotations
@@ -15,24 +19,18 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
+from functools import partial
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import bpe
 from .adapter import AdapterMatrix, collect_pairs, fit_adapter
 from .bleu import BleuReport, bleu
 from .checkpoint import Checkpoint
-from .data import NoiseConfig, ParallelCorpus, mix_corpora
-from .decoding import (
-    BeamConfig,
-    backtranslate,
-    distill_teacher_student,
-    pivot_translate,
-    translate_tokens,
-)
-from .model import ModelConfig, Seq2SeqModel, init_params
+from .data import MixedCorpus, NoiseConfig, ParallelCorpus, mix_corpora
+from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
+from .model import ModelConfig, init_params
 from .toyworld import ToyWorldSpec, generate_toy_corpora
 from .training import (
     TrainSchedule,
@@ -46,45 +44,6 @@ from .training import (
 )
 
 log = logging.getLogger(__name__)
-
-TABLE2_RECIPES = (
-    "direct",
-    "multilingual-m2m",
-    "multilingual-m2o",
-    "plain",
-    "plain+adapter",
-    "xenc",
-    "xenc+adapter",
-    "stepwise",
-    "stepwise+xenc",
-)
-TABLE5_RECIPES = (
-    "zeroshot-m2m",
-    "zeroshot-pivot",
-    "teacher-student",
-    "zeroshot-plain",
-    "zeroshot-stepwise",
-    "zeroshot-stepwise+xenc",
-    "distill-stepwise+xenc",
-)
-TABLE4_RECIPES = (
-    "xenc-mono-clean",
-    "xenc-mono-noisy",
-    "xenc-parallel-clean",
-    "xenc-parallel-noisy",
-)
-TABLE6_RECIPES = (
-    "direct",
-    "backtranslate-direct",
-    "backtranslate-plain",
-)
-GRIDS = {
-    "table2": TABLE2_RECIPES,
-    "table4": TABLE4_RECIPES,
-    "table5": TABLE5_RECIPES,
-    "table6": TABLE6_RECIPES,
-}
-ALL_RECIPES = tuple(dict.fromkeys(sum((list(v) for v in GRIDS.values()), [])))
 
 
 class RecipeError(Exception):
@@ -119,21 +78,20 @@ class Settings:
     synthetic_per_real: int = 2
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Settings":
-        raw = dict(raw)
-        if "model" in raw:
-            raw["model"] = ModelConfig(**raw["model"])
-        if "pretrain" in raw:
-            raw["pretrain"] = TrainSchedule(**raw["pretrain"])
-        if "finetune" in raw:
-            raw["finetune"] = TrainSchedule(**raw["finetune"])
-        if "beam" in raw:
-            raw["beam"] = BeamConfig(**raw["beam"])
-        return cls(**raw)
+        """Given keys override the defaults above; a section given in part
+        keeps the rest of that section's default."""
+        base = cls()
+        return replace(
+            base,
+            **{
+                k: replace(getattr(base, k), **v) if isinstance(v, dict) else v
+                for k, v in raw.items()
+            },
+        )
 
 
 @dataclass
@@ -179,25 +137,18 @@ class Workbench:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def _cached(self, key: str, build):
+        """Build a stage once; checkpoints also persist in the cache directory."""
         if key in self._mem:
             return self._mem[key]
-        if self.cache_dir:
-            path = self.cache_dir / f"{self.config_digest()}--{key}.ckpt"
-            if path.exists():
-                value = Checkpoint.load(path)
-                self._mem[key] = value
-                return value
-        value = build()
+        path = self.cache_dir / f"{self.config_digest()}--{key}.ckpt" if self.cache_dir else None
+        if path is not None and path.exists():
+            value = Checkpoint.load(path)
+        else:
+            value = build()
+            if path is not None and isinstance(value, Checkpoint):
+                value.save(path)
         self._mem[key] = value
-        if self.cache_dir and isinstance(value, Checkpoint):
-            path = self.cache_dir / f"{self.config_digest()}--{key}.ckpt"
-            value.save(path)
         return value
-
-    def _memo(self, key: str, build):
-        if key not in self._mem:
-            self._mem[key] = build()
-        return self._mem[key]
 
     # -- text resources ------------------------------------------------------
 
@@ -219,14 +170,22 @@ class Workbench:
             )
         raise RecipeError(f"unknown language {lang}")
 
+    def directed(self, src: str, tgt: str, split: str = "") -> ParallelCorpus:
+        """The src->tgt pairs of a split ("" for training, ".val"), flipped
+        from the stored tgt->src corpus when only that direction is stored."""
+        name = f"{src}-{tgt}{split}"
+        if name in self.corpora:
+            return self.corpora[name]
+        return self.corpora[f"{tgt}-{src}{split}"].flipped()
+
     def bpe_sep(self, lang: str) -> bpe.BpeModel:
-        return self._memo(
+        return self._cached(
             f"bpe-sep-{lang}",
             lambda: bpe.learn_bpe(self.lang_lines(lang), self.settings.merge_count, (lang,)),
         )
 
     def bpe_joint(self) -> bpe.BpeModel:
-        return self._memo(
+        return self._cached(
             "bpe-joint",
             lambda: bpe.learn_bpe(
                 self.lang_lines("src") + self.lang_lines("piv"),
@@ -236,7 +195,7 @@ class Workbench:
         )
 
     def bpe_multi(self) -> bpe.BpeModel:
-        return self._memo(
+        return self._cached(
             "bpe-multi",
             lambda: bpe.learn_bpe(
                 self.lang_lines("src") + self.lang_lines("piv") + self.lang_lines("tgt"),
@@ -268,7 +227,7 @@ class Workbench:
             seg = self.seg_lines(self.bpe_sep(lang), self.lang_lines(lang))
             return bpe.build_vocab([seg])
 
-        return self._memo(f"vocab-sep-{lang}", build)
+        return self._cached(f"vocab-sep-{lang}", build)
 
     def vocab_joint(self, with_blank: bool) -> bpe.Vocabulary:
         def build():
@@ -276,7 +235,7 @@ class Workbench:
             seg = self.seg_lines(joint, self.lang_lines("src") + self.lang_lines("piv"))
             return bpe.build_vocab([seg], include_blank=with_blank)
 
-        return self._memo(f"vocab-joint-{with_blank}", build)
+        return self._cached(f"vocab-joint-{with_blank}", build)
 
     def vocab_piv_jointseg(self) -> bpe.Vocabulary:
         """Pivot output vocabulary over joint-BPE segmentations."""
@@ -285,7 +244,7 @@ class Workbench:
             seg = self.seg_lines(self.bpe_joint(), self.lang_lines("piv"))
             return bpe.build_vocab([seg])
 
-        return self._memo("vocab-piv-jointseg", build)
+        return self._cached("vocab-piv-jointseg", build)
 
     def vocab_multi(self) -> bpe.Vocabulary:
         def build():
@@ -296,7 +255,12 @@ class Workbench:
             )
             return bpe.build_vocab([seg], language_tags=("src", "piv", "tgt"))
 
-        return self._memo("vocab-multi", build)
+        return self._cached("vocab-multi", build)
+
+    def stage1_vocab(self, stage1: str) -> bpe.Vocabulary:
+        """Joint source vocabulary of a step-wise stage 1 (see `ckpt_stepwise`):
+        it has <BLANK> exactly when the stage-1 input was noised."""
+        return self.vocab_joint(with_blank=stage1.endswith("-noisy"))
 
     # -- pre-trained parents --------------------------------------------------
 
@@ -304,22 +268,9 @@ class Workbench:
         """Separate-BPE parent for src-piv, piv-tgt, or piv-src."""
 
         def build():
-            if direction == "piv-src":
-                base = self.corpora["src-piv"]
-                corpus = ParallelCorpus(
-                    pairs=[(t, s) for s, t in base.pairs], src_lang="piv", tgt_lang="src"
-                )
-                base_val = self.corpora["src-piv.val"]
-                val = ParallelCorpus(
-                    pairs=[(t, s) for s, t in base_val.pairs], src_lang="piv", tgt_lang="src"
-                )
-                a, b = "piv", "src"
-            else:
-                corpus = self.corpora[direction]
-                val = self.corpora[f"{direction}.val"]
-                a, b = direction.split("-")
-            seg = self.seg_corpus(corpus, self.bpe_sep(a), self.bpe_sep(b))
-            seg_val = self.seg_corpus(val, self.bpe_sep(a), self.bpe_sep(b))
+            a, b = direction.split("-")
+            seg = self.seg_corpus(self.directed(a, b), self.bpe_sep(a), self.bpe_sep(b))
+            seg_val = self.seg_corpus(self.directed(a, b, ".val"), self.bpe_sep(a), self.bpe_sep(b))
             model = init_params(
                 self.settings.model, self.vocab_sep(a), self.vocab_sep(b), self.seed
             )
@@ -396,16 +347,15 @@ class Workbench:
         return self._cached(f"xenc-{ae_source}-{'noisy' if noisy else 'clean'}", build)
 
     def ckpt_stepwise(self, stage1: str = "joint") -> Checkpoint:
-        """Stage 2 (piv->tgt, encoder frozen) on top of a stage-1 encoder."""
+        """Stage 2 (piv->tgt, encoder frozen) on top of a stage-1 encoder:
+        "joint" (plain src->piv) or "<ae_source>-<clean|noisy>" (`ckpt_xenc`)."""
 
         def build():
             if stage1 == "joint":
                 first = self.ckpt_joint_src_piv()
-                with_blank = False
             else:
                 ae_source, kind = stage1.split("-")
                 first = self.ckpt_xenc(ae_source, noisy=kind == "noisy")
-                with_blank = kind == "noisy"
             joint = self.bpe_joint()
             piv_tgt = self.seg_corpus(self.corpora["piv-tgt"], joint, self.bpe_sep("tgt"))
             piv_tgt_val = self.seg_corpus(
@@ -413,7 +363,7 @@ class Workbench:
             )
             return stepwise_pretrain(
                 self.settings.model,
-                self.vocab_joint(with_blank=with_blank),
+                self.stage1_vocab(stage1),
                 self.vocab_piv_jointseg(),
                 self.vocab_sep("tgt"),
                 (None, None),  # stage 1 supplied
@@ -428,44 +378,24 @@ class Workbench:
     def ckpt_multilingual(self, kind: str, zeroshot: bool = False) -> Checkpoint:
         def build():
             multi = self.bpe_multi()
-            vocab = self.vocab_multi()
-            c = self.corpora
 
-            def seg(name, flip=False):
-                base = c[name]
-                pairs = [(t, s) for s, t in base.pairs] if flip else base.pairs
-                langs = (base.tgt_lang, base.src_lang) if flip else (base.src_lang, base.tgt_lang)
-                return ParallelCorpus(
-                    pairs=[
-                        (
-                            bpe.apply_bpe(multi, " ".join(s)),
-                            bpe.apply_bpe(multi, " ".join(t)),
-                        )
-                        for s, t in pairs
-                    ],
-                    src_lang=langs[0],
-                    tgt_lang=langs[1],
-                )
+            def seg(a, b, split=""):
+                return self.seg_corpus(self.directed(a, b, split), multi, multi)
 
             if kind == "many2one":
-                directions = [seg("src-tgt"), seg("piv-tgt")]
+                directions = [("src", "tgt"), ("piv", "tgt")]
             else:
-                directions = [
-                    seg("src-piv"),
-                    seg("src-piv", flip=True),
-                    seg("piv-tgt"),
-                    seg("piv-tgt", flip=True),
-                ]
+                directions = [("src", "piv"), ("piv", "src"), ("piv", "tgt"), ("tgt", "piv")]
                 if not zeroshot:
-                    directions += [seg("src-tgt"), seg("src-tgt", flip=True)]
-            val = seg("src-tgt.val") if not zeroshot else seg("piv-tgt.val")
+                    directions += [("src", "tgt"), ("tgt", "src")]
+            val = seg("piv", "tgt", ".val") if zeroshot else seg("src", "tgt", ".val")
             # more directions per epoch: scale the budget alongside the data
-            schedule = TrainSchedule(**{**asdict(self.settings.pretrain)})
-            schedule.max_updates = int(self.settings.pretrain.max_updates * 1.5)
+            pretrain = self.settings.pretrain
+            schedule = replace(pretrain, max_updates=int(pretrain.max_updates * 1.5))
             return train_multilingual(
                 self.settings.model,
-                vocab,
-                directions,
+                self.vocab_multi(),
+                [seg(a, b) for a, b in directions],
                 val,
                 schedule,
                 seed=self.seed,
@@ -510,301 +440,245 @@ class Workbench:
             )
             return fit_adapter(pooled)
 
-        return self._memo(f"adapter-{flavor}", build)
+        return self._cached(f"adapter-{flavor}", build)
 
     # -- synthetic corpora -------------------------------------------------------
 
     def distilled_corpus(self) -> ParallelCorpus:
-        """Teacher-student synthetic src-tgt data (word-level)."""
-
-        def build():
-            teacher = model_of(
-                self.ckpt_sep("piv-tgt"), self.vocab_sep("piv"), self.vocab_sep("tgt")
-            )
-            subset = self.corpora["src-piv"].subset(self.settings.distill_pairs, self.seed)
-            piv_bpe = self.bpe_sep("piv")
-            synth, dropped = distill_teacher_student(
-                subset,
-                teacher,
-                self.settings.beam,
-                out_lang="tgt",
-                segment=lambda p: bpe.apply_bpe(piv_bpe, " ".join(p)),
-                detokenize=lambda toks: bpe.detokenize(toks).split(),
-            )
-            log.info("distilled %d pairs (%d dropped)", len(synth), dropped)
-            return synth
-
-        return self._memo("distilled", build)
+        """Teacher-student synthetic src-tgt data (word-level): the piv->tgt
+        parent translates the pivot side of src-piv pairs."""
+        return self._cached(
+            "distilled",
+            lambda: self._translate_pivot("src-piv", self.settings.distill_pairs, "tgt"),
+        )
 
     def backtranslated_corpus(self) -> ParallelCorpus:
-        """Synthetic src-tgt data from back-translating the pivot side of piv-tgt."""
+        """Synthetic src-tgt data: the piv->src parent back-translates the
+        pivot side of piv-tgt pairs."""
+        return self._cached(
+            "backtranslated",
+            lambda: self._translate_pivot("piv-tgt", self.settings.backtranslate_pairs, "src"),
+        )
 
-        def build():
-            piv_src = model_of(
-                self.ckpt_sep("piv-src"), self.vocab_sep("piv"), self.vocab_sep("src")
-            )
-            subset = self.corpora["piv-tgt"].subset(
-                self.settings.backtranslate_pairs, self.seed
-            )
-            piv_bpe = self.bpe_sep("piv")
-            synth, dropped = backtranslate(
-                subset,
-                piv_src,
-                self.settings.beam,
-                out_lang="src",
-                segment=lambda p: bpe.apply_bpe(piv_bpe, " ".join(p)),
-                detokenize=lambda toks: bpe.detokenize(toks).split(),
-            )
-            log.info("back-translated %d pairs (%d dropped)", len(synth), dropped)
-            return synth
+    def _translate_pivot(self, name: str, n: int, to_lang: str) -> ParallelCorpus:
+        model = model_of(
+            self.ckpt_sep(f"piv-{to_lang}"), self.vocab_sep("piv"), self.vocab_sep(to_lang)
+        )
+        subset = self.corpora[name].subset(n, self.seed)
+        synth, dropped = translate_side(
+            subset, model, self.settings.beam, "piv", to_lang, self.bpe_sep("piv")
+        )
+        log.info("%s: %d synthetic pairs (%d dropped)", name, len(synth), dropped)
+        return synth
 
-        return self._memo("backtranslated", build)
-
-    def real_plus_synthetic(self, synth: ParallelCorpus):
-        """Real src-tgt oversampled against synthetic at the configured ratio."""
+    def real_plus_synthetic(self, synth: ParallelCorpus, src_bpe) -> MixedCorpus:
+        """Segmented mixture of `synth` and real src-tgt, the real pairs
+        oversampled against the synthetic ones at the configured ratio."""
         real = self.corpora["src-tgt"]
         per_real = self.settings.synthetic_per_real
-        weight = max(1.0, round(len(synth) / (per_real * len(real))))
-        weighted = ParallelCorpus(
-            pairs=real.pairs, src_lang=real.src_lang, tgt_lang=real.tgt_lang, weight=weight
+        weighted = replace(real, weight=max(1.0, round(len(synth) / (per_real * len(real)))))
+        tgt_bpe = self.bpe_sep("tgt")
+        return mix_corpora(
+            [(self.seg_corpus(c, src_bpe, tgt_bpe), None) for c in (weighted, synth)]
         )
-        return mix_corpora([(weighted, None), (synth, None)])
 
 
 # ---------------------------------------------------------------------------
-# translators and evaluation
+# recipes: each builder composes Workbench stages into a System
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Translator:
-    """A decodable system: model plus its source segmentation and options."""
+class System:
+    """A decodable src->tgt system and the hash of the checkpoint(s) behind it."""
 
-    model: Seq2SeqModel
     src_bpe: bpe.BpeModel
-    beam: BeamConfig
-    adapter: AdapterMatrix | None = None
-    tag: str | None = None
-
-    def translate_words(self, word_sentences: list) -> list:
-        prefix = ()
-        if self.tag is not None:
-            prefix = (self.model.src_vocab.tag_id(self.tag),)
-        seg = [bpe.apply_bpe(self.src_bpe, " ".join(s)) for s in word_sentences]
-        hyps = translate_tokens(
-            self.model, seg, self.beam, adapter=self.adapter, src_prefix=prefix
-        )
-        return [bpe.detokenize(h).split() for h in hyps]
+    decode: Callable  # segmented source sentences -> target subword lists
+    checkpoint_hash: str
+    details: dict = field(default_factory=dict)  # extra report entries
 
     def score(self, corpus: ParallelCorpus) -> BleuReport:
-        hyps = self.translate_words([s for s, _ in corpus.pairs])
+        seg = [bpe.apply_bpe(self.src_bpe, " ".join(s)) for s, _ in corpus.pairs]
+        hyps = [bpe.detokenize(h).split() for h in self.decode(seg)]
         return bleu(hyps, [t for _, t in corpus.pairs])
 
 
-def _result(recipe, wb, report_test, report_val, ckpt_hash, t0, extra=None) -> RecipeResult:
-    details = {"test": report_test.format(), "val": report_val.format()}
-    if extra:
-        details.update(extra)
-    return RecipeResult(
-        recipe=recipe,
-        seed=wb.seed,
-        test_bleu=report_test.score,
-        val_bleu=report_val.score,
-        checkpoint_hash=ckpt_hash,
-        runtime_s=round(time.perf_counter() - t0, 2),
-        report=details,
-    )
+def _system(wb, ck, src_bpe, src_vocab, adapter=None, **details) -> System:
+    """Decode with checkpoint `ck` into the separate-BPE target vocabulary."""
+    model = model_of(ck, src_vocab, wb.vocab_sep("tgt"))
+    decode = partial(translate_tokens, model, cfg=wb.settings.beam, adapter=adapter)
+    return System(src_bpe, decode, ck.content_hash(), details)
+
+
+def _to_tgt(wb, corpus, src_bpe) -> ParallelCorpus:
+    return wb.seg_corpus(corpus, src_bpe, wb.bpe_sep("tgt"))
+
+
+def _fit(wb, src_bpe, src_vocab, train_corpus, schedule, parent=None, recipe="train",
+         adapter=None, **details) -> System:
+    """Train on segmented src->tgt data, validating on src-tgt.val: a fresh
+    model named `recipe` when there is no parent, else fine-tune `parent`."""
+    tgt_vocab = wb.vocab_sep("tgt")
+    val = _to_tgt(wb, wb.corpora["src-tgt.val"], src_bpe)
+    if parent is None:
+        model = init_params(wb.settings.model, src_vocab, tgt_vocab, wb.seed)
+        ck = train(model, train_corpus, val, schedule, seed=wb.seed, recipe=recipe)
+    else:
+        ck = finetune(
+            parent, src_vocab, tgt_vocab, (train_corpus, val), schedule, seed=wb.seed,
+            adapter=adapter,
+        )
+    return _system(wb, ck, src_bpe, src_vocab, adapter, **details)
+
+
+def _plain_child(wb) -> Checkpoint:
+    """Encoder of the src->piv parent under the decoder of the piv->tgt parent."""
+    return plain_transfer_init(wb.ckpt_sep("src-piv"), wb.ckpt_sep("piv-tgt"))
+
+
+def _direct(wb) -> System:
+    src_bpe = wb.bpe_sep("src")
+    train_corpus = _to_tgt(wb, wb.corpora["src-tgt"], src_bpe)
+    return _fit(wb, src_bpe, wb.vocab_sep("src"), train_corpus, wb.settings.finetune,
+                recipe="direct")
+
+
+def _multilingual(wb, kind, zeroshot=False) -> System:
+    ck = wb.ckpt_multilingual(kind, zeroshot=zeroshot)
+    vocab = wb.vocab_multi()
+    decode = partial(translate_tokens, model_of(ck, vocab, vocab), cfg=wb.settings.beam,
+                     src_prefix=(vocab.tag_id("tgt"),))
+    return System(wb.bpe_multi(), decode, ck.content_hash())
+
+
+def _transfer(wb, xenc, with_adapter) -> System:
+    """Fine-tune the src->piv encoder (the cross-lingual one when `xenc`)
+    under the piv->tgt decoder, optionally through the adapter."""
+    if xenc:
+        encoder, src_bpe, src_vocab = wb.ckpt_xenc(), wb.bpe_joint(), wb.vocab_joint(True)
+    else:
+        encoder, src_bpe, src_vocab = wb.ckpt_sep("src-piv"), wb.bpe_sep("src"), wb.vocab_sep("src")
+    child = plain_transfer_init(encoder, wb.ckpt_sep("piv-tgt"))
+    adapter = wb.adapter("xenc" if xenc else "plain") if with_adapter else None
+    train_corpus = _to_tgt(wb, wb.corpora["src-tgt"], src_bpe)
+    return _fit(wb, src_bpe, src_vocab, train_corpus, wb.settings.finetune, parent=child,
+                adapter=adapter)
+
+
+def _stepwise(wb, stage1, distilled=False) -> System:
+    """Fine-tune the step-wise model on real (or distilled) src->tgt data."""
+    src_bpe = wb.bpe_joint()
+    words = wb.distilled_corpus() if distilled else wb.corpora["src-tgt"]
+    return _fit(wb, src_bpe, wb.stage1_vocab(stage1), _to_tgt(wb, words, src_bpe),
+                wb.settings.finetune, parent=wb.ckpt_stepwise(stage1))
+
+
+def _zeroshot_stepwise(wb, stage1) -> System:
+    return _system(wb, wb.ckpt_stepwise(stage1), wb.bpe_joint(), wb.stage1_vocab(stage1))
+
+
+def _zeroshot_plain(wb) -> System:
+    return _system(wb, _plain_child(wb), wb.bpe_sep("src"), wb.vocab_sep("src"))
+
+
+def _zeroshot_pivot(wb) -> System:
+    """Two-step decoding through the pivot with the two separate parents."""
+    first, second = wb.ckpt_sep("src-piv"), wb.ckpt_sep("piv-tgt")
+    m1 = model_of(first, wb.vocab_sep("src"), wb.vocab_sep("piv"))
+    m2 = model_of(second, wb.vocab_sep("piv"), wb.vocab_sep("tgt"))
+    ckpt_hash = hashlib.sha256((first.content_hash() + second.content_hash()).encode()).hexdigest()
+    return System(wb.bpe_sep("src"), partial(pivot_translate, m1, m2, cfg=wb.settings.beam),
+                  ckpt_hash)
+
+
+def _teacher_student(wb) -> System:
+    src_bpe = wb.bpe_sep("src")
+    train_corpus = _to_tgt(wb, wb.distilled_corpus(), src_bpe)
+    return _fit(wb, src_bpe, wb.vocab_sep("src"), train_corpus, wb.settings.pretrain,
+                recipe="teacher-student")
+
+
+def _backtranslate(wb, plain) -> System:
+    """Train on real plus back-translated src->tgt data: from scratch, or
+    from the plain transfer child."""
+    synth = wb.backtranslated_corpus()
+    src_bpe = wb.bpe_sep("src")
+    return _fit(wb, src_bpe, wb.vocab_sep("src"), wb.real_plus_synthetic(synth, src_bpe),
+                wb.settings.pretrain, parent=_plain_child(wb) if plain else None,
+                recipe="direct+synthetic", synthetic_pairs=len(synth))
+
+
+RECIPES = {
+    "direct": _direct,
+    "multilingual-m2m": partial(_multilingual, kind="many2many"),
+    "multilingual-m2o": partial(_multilingual, kind="many2one"),
+    "plain": partial(_transfer, xenc=False, with_adapter=False),
+    "plain+adapter": partial(_transfer, xenc=False, with_adapter=True),
+    "xenc": partial(_transfer, xenc=True, with_adapter=False),
+    "xenc+adapter": partial(_transfer, xenc=True, with_adapter=True),
+    "stepwise": partial(_stepwise, stage1="joint"),
+    "stepwise+xenc": partial(_stepwise, stage1="parallel-noisy"),
+    # step-wise stage 2 on each autoencoding flavor, scored zero-shot
+    "xenc-mono-clean": partial(_zeroshot_stepwise, stage1="mono-clean"),
+    "xenc-mono-noisy": partial(_zeroshot_stepwise, stage1="mono-noisy"),
+    "xenc-parallel-clean": partial(_zeroshot_stepwise, stage1="parallel-clean"),
+    "xenc-parallel-noisy": partial(_zeroshot_stepwise, stage1="parallel-noisy"),
+    "zeroshot-m2m": partial(_multilingual, kind="many2many", zeroshot=True),
+    "zeroshot-pivot": _zeroshot_pivot,
+    "teacher-student": _teacher_student,
+    "zeroshot-plain": _zeroshot_plain,
+    "zeroshot-stepwise": partial(_zeroshot_stepwise, stage1="joint"),
+    "zeroshot-stepwise+xenc": partial(_zeroshot_stepwise, stage1="parallel-noisy"),
+    "distill-stepwise+xenc": partial(_stepwise, stage1="parallel-noisy", distilled=True),
+    "backtranslate-direct": partial(_backtranslate, plain=False),
+    "backtranslate-plain": partial(_backtranslate, plain=True),
+}
+
+GRIDS = {
+    "table2": (
+        "direct",
+        "multilingual-m2m",
+        "multilingual-m2o",
+        "plain",
+        "plain+adapter",
+        "xenc",
+        "xenc+adapter",
+        "stepwise",
+        "stepwise+xenc",
+    ),
+    "table4": (
+        "xenc-mono-clean",
+        "xenc-mono-noisy",
+        "xenc-parallel-clean",
+        "xenc-parallel-noisy",
+    ),
+    "table5": (
+        "zeroshot-m2m",
+        "zeroshot-pivot",
+        "teacher-student",
+        "zeroshot-plain",
+        "zeroshot-stepwise",
+        "zeroshot-stepwise+xenc",
+        "distill-stepwise+xenc",
+    ),
+    "table6": ("direct", "backtranslate-direct", "backtranslate-plain"),
+}
 
 
 def run_recipe(wb: Workbench, name: str) -> RecipeResult:
-    """Execute one named recipe end to end and score it on the toy test set."""
+    """Build one named recipe's system and score it on the toy test and
+    validation sets."""
+    if name not in RECIPES:
+        raise RecipeError(f"unknown recipe {name!r}")
     t0 = time.perf_counter()
-    s = wb.settings
-    test = wb.corpora["src-tgt.test"]
-    val = wb.corpora["src-tgt.val"]
-
-    def ft_pair(src_bpe):
-        trainc = wb.seg_corpus(wb.corpora["src-tgt"], src_bpe, wb.bpe_sep("tgt"))
-        valc = wb.seg_corpus(wb.corpora["src-tgt.val"], src_bpe, wb.bpe_sep("tgt"))
-        return trainc, valc
-
-    if name == "direct":
-        seg_train, seg_val = ft_pair(wb.bpe_sep("src"))
-        model = init_params(s.model, wb.vocab_sep("src"), wb.vocab_sep("tgt"), wb.seed)
-        ck = train(model, seg_train, seg_val, s.finetune, seed=wb.seed, recipe="direct")
-        tr = Translator(model_of(ck, wb.vocab_sep("src"), wb.vocab_sep("tgt")), wb.bpe_sep("src"), s.beam)
-        return _result(name, wb, tr.score(test), tr.score(val), ck.content_hash(), t0)
-
-    if name in ("multilingual-m2m", "multilingual-m2o", "zeroshot-m2m"):
-        kind = "many2one" if name.endswith("m2o") else "many2many"
-        ck = wb.ckpt_multilingual(kind, zeroshot=name.startswith("zeroshot"))
-        tr = Translator(
-            model_of(ck, wb.vocab_multi(), wb.vocab_multi()),
-            wb.bpe_multi(),
-            s.beam,
-            tag="tgt",
-        )
-        return _result(name, wb, tr.score(test), tr.score(val), ck.content_hash(), t0)
-
-    if name in ("plain", "plain+adapter", "xenc", "xenc+adapter"):
-        use_xenc = name.startswith("xenc")
-        enc_parent = wb.ckpt_xenc() if use_xenc else wb.ckpt_sep("src-piv")
-        child = plain_transfer_init(enc_parent, wb.ckpt_sep("piv-tgt"))
-        adapter = None
-        if name.endswith("+adapter"):
-            adapter = wb.adapter("xenc" if use_xenc else "plain")
-        src_vocab = wb.vocab_joint(True) if use_xenc else wb.vocab_sep("src")
-        src_bpe = wb.bpe_joint() if use_xenc else wb.bpe_sep("src")
-        seg_train, seg_val = ft_pair(src_bpe)
-        ck = finetune(
-            child,
-            src_vocab,
-            wb.vocab_sep("tgt"),
-            (seg_train, seg_val),
-            s.finetune,
-            seed=wb.seed,
-            adapter=adapter,
-        )
-        tr = Translator(
-            model_of(ck, src_vocab, wb.vocab_sep("tgt")), src_bpe, s.beam, adapter=adapter
-        )
-        return _result(name, wb, tr.score(test), tr.score(val), ck.content_hash(), t0)
-
-    if name in ("stepwise", "stepwise+xenc"):
-        stage1 = "joint" if name == "stepwise" else "parallel-noisy"
-        pre = wb.ckpt_stepwise(stage1)
-        with_blank = name == "stepwise+xenc"
-        src_vocab = wb.vocab_joint(with_blank)
-        seg_train, seg_val = ft_pair(wb.bpe_joint())
-        ck = finetune(
-            pre, src_vocab, wb.vocab_sep("tgt"), (seg_train, seg_val), s.finetune, seed=wb.seed
-        )
-        tr = Translator(model_of(ck, src_vocab, wb.vocab_sep("tgt")), wb.bpe_joint(), s.beam)
-        return _result(name, wb, tr.score(test), tr.score(val), ck.content_hash(), t0)
-
-    if name.startswith("xenc-") and name.count("-") == 2:
-        # table-4 variant: stepwise stage 2 on the chosen autoencoding flavor,
-        # scored zero-shot
-        _, ae_source, kind = name.split("-")
-        pre = wb.ckpt_stepwise(f"{ae_source}-{kind}")
-        src_vocab = wb.vocab_joint(kind == "noisy")
-        tr = Translator(model_of(pre, src_vocab, wb.vocab_sep("tgt")), wb.bpe_joint(), s.beam)
-        return _result(name, wb, tr.score(test), tr.score(val), pre.content_hash(), t0)
-
-    if name == "zeroshot-plain":
-        child = plain_transfer_init(wb.ckpt_sep("src-piv"), wb.ckpt_sep("piv-tgt"))
-        tr = Translator(
-            model_of(child, wb.vocab_sep("src"), wb.vocab_sep("tgt")), wb.bpe_sep("src"), s.beam
-        )
-        return _result(name, wb, tr.score(test), tr.score(val), child.content_hash(), t0)
-
-    if name in ("zeroshot-stepwise", "zeroshot-stepwise+xenc"):
-        stage1 = "joint" if name == "zeroshot-stepwise" else "parallel-noisy"
-        pre = wb.ckpt_stepwise(stage1)
-        src_vocab = wb.vocab_joint(name.endswith("+xenc"))
-        tr = Translator(model_of(pre, src_vocab, wb.vocab_sep("tgt")), wb.bpe_joint(), s.beam)
-        return _result(name, wb, tr.score(test), tr.score(val), pre.content_hash(), t0)
-
-    if name == "zeroshot-pivot":
-        m1 = model_of(wb.ckpt_sep("src-piv"), wb.vocab_sep("src"), wb.vocab_sep("piv"))
-        m2 = model_of(wb.ckpt_sep("piv-tgt"), wb.vocab_sep("piv"), wb.vocab_sep("tgt"))
-        src_bpe = wb.bpe_sep("src")
-
-        def score(corpus):
-            seg = [bpe.apply_bpe(src_bpe, " ".join(x)) for x, _ in corpus.pairs]
-            hyps = pivot_translate(m1, m2, seg, s.beam)
-            words = [bpe.detokenize(h).split() for h in hyps]
-            return bleu(words, [t for _, t in corpus.pairs])
-
-        rt, rv = score(test), score(val)
-        h = hashlib.sha256(
-            (wb.ckpt_sep("src-piv").content_hash() + wb.ckpt_sep("piv-tgt").content_hash()).encode()
-        ).hexdigest()
-        return _result(name, wb, rt, rv, h, t0)
-
-    if name == "teacher-student":
-        synth = wb.distilled_corpus()
-        seg_train = wb.seg_corpus(synth, wb.bpe_sep("src"), wb.bpe_sep("tgt"))
-        seg_val = wb.seg_corpus(
-            wb.corpora["src-tgt.val"], wb.bpe_sep("src"), wb.bpe_sep("tgt")
-        )
-        model = init_params(s.model, wb.vocab_sep("src"), wb.vocab_sep("tgt"), wb.seed)
-        ck = train(
-            model, seg_train, seg_val, s.pretrain, seed=wb.seed, recipe="teacher-student"
-        )
-        tr = Translator(model_of(ck, wb.vocab_sep("src"), wb.vocab_sep("tgt")), wb.bpe_sep("src"), s.beam)
-        return _result(name, wb, tr.score(test), tr.score(val), ck.content_hash(), t0)
-
-    if name == "distill-stepwise+xenc":
-        synth = wb.distilled_corpus()
-        pre = wb.ckpt_stepwise("parallel-noisy")
-        src_vocab = wb.vocab_joint(True)
-        seg_train = wb.seg_corpus(synth, wb.bpe_joint(), wb.bpe_sep("tgt"))
-        seg_val = wb.seg_corpus(wb.corpora["src-tgt.val"], wb.bpe_joint(), wb.bpe_sep("tgt"))
-        ck = finetune(
-            pre, src_vocab, wb.vocab_sep("tgt"), (seg_train, seg_val), s.finetune, seed=wb.seed
-        )
-        tr = Translator(model_of(ck, src_vocab, wb.vocab_sep("tgt")), wb.bpe_joint(), s.beam)
-        return _result(name, wb, tr.score(test), tr.score(val), ck.content_hash(), t0)
-
-    if name in ("backtranslate-direct", "backtranslate-plain"):
-        synth = wb.backtranslated_corpus()
-        mixed_words = wb.real_plus_synthetic(synth)
-        if name == "backtranslate-direct":
-            src_bpe, src_vocab = wb.bpe_sep("src"), wb.vocab_sep("src")
-            parent = None
-        else:
-            src_bpe, src_vocab = wb.bpe_sep("src"), wb.vocab_sep("src")
-            parent = plain_transfer_init(wb.ckpt_sep("src-piv"), wb.ckpt_sep("piv-tgt"))
-        seg_components = []
-        for corpus, noise in mixed_words.components:
-            seg_components.append((wb.seg_corpus(corpus, src_bpe, wb.bpe_sep("tgt")), noise))
-        mixed = mix_corpora(seg_components)
-        seg_val = wb.seg_corpus(wb.corpora["src-tgt.val"], src_bpe, wb.bpe_sep("tgt"))
-        if parent is None:
-            model = init_params(s.model, src_vocab, wb.vocab_sep("tgt"), wb.seed)
-            ck = train(
-                model, mixed, seg_val, s.pretrain, seed=wb.seed, recipe="direct+synthetic"
-            )
-        else:
-            ck = finetune(
-                parent, src_vocab, wb.vocab_sep("tgt"), (mixed, seg_val), s.pretrain, seed=wb.seed
-            )
-        tr = Translator(model_of(ck, src_vocab, wb.vocab_sep("tgt")), src_bpe, s.beam)
-        return _result(
-            name, wb, tr.score(test), tr.score(val), ck.content_hash(), t0,
-            extra={"synthetic_pairs": len(synth)},
-        )
-
-    raise RecipeError(f"unknown recipe {name!r}")
-
-
-def run_grid(
-    world: ToyWorldSpec,
-    settings: Settings,
-    grid: str,
-    seeds,
-    cache_dir=None,
-) -> dict:
-    """Run every recipe of a named grid for each seed; aggregate mean and sd."""
-    if grid not in GRIDS:
-        raise RecipeError(f"unknown grid {grid!r} (have {sorted(GRIDS)})")
-    results = []
-    for seed in seeds:
-        spec = ToyWorldSpec(**{**asdict(world), "seed": seed})
-        wb = Workbench(spec, settings, seed, cache_dir=cache_dir)
-        for recipe in GRIDS[grid]:
-            res = run_recipe(wb, recipe)
-            log.info(
-                "grid %s seed %d recipe %-24s test %.2f (%.1fs)",
-                grid, seed, recipe, res.test_bleu, res.runtime_s,
-            )
-            results.append(res)
-    summary = {}
-    for recipe in GRIDS[grid]:
-        scores = [r.test_bleu for r in results if r.recipe == recipe]
-        summary[recipe] = {
-            "mean": float(np.mean(scores)),
-            "sd": float(np.std(scores)),
-            "scores": scores,
-        }
-    return {"grid": grid, "seeds": list(seeds), "summary": summary, "results": results}
+    system = RECIPES[name](wb)
+    test = system.score(wb.corpora["src-tgt.test"])
+    val = system.score(wb.corpora["src-tgt.val"])
+    return RecipeResult(
+        recipe=name,
+        seed=wb.seed,
+        test_bleu=test.score,
+        val_bleu=val.score,
+        checkpoint_hash=system.checkpoint_hash,
+        runtime_s=round(time.perf_counter() - t0, 2),
+        report={"test": test.format(), "val": val.format(), **system.details},
+    )

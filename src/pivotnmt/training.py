@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterMatrix
-from .bpe import Vocabulary
+from .bpe import HashMismatchError, Vocabulary
 from .checkpoint import Checkpoint
 from .data import (
     MixedCorpus,
@@ -36,6 +36,10 @@ log = logging.getLogger(__name__)
 
 
 class TrainingError(Exception):
+    pass
+
+
+class VocabMismatchError(TrainingError, HashMismatchError):
     pass
 
 
@@ -128,9 +132,9 @@ def checkpoint_of(model: Seq2SeqModel, provenance: dict, schedule_state: dict | 
 def model_of(ckpt: Checkpoint, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> Seq2SeqModel:
     """Instantiate a model from a checkpoint, verifying vocabulary hashes."""
     if ckpt.src_vocab_hash != src_vocab.content_hash():
-        raise TrainingError("source vocabulary hash mismatch against checkpoint")
+        raise VocabMismatchError("source vocabulary hash mismatch against checkpoint")
     if ckpt.tgt_vocab_hash != tgt_vocab.content_hash():
-        raise TrainingError("target vocabulary hash mismatch against checkpoint")
+        raise VocabMismatchError("target vocabulary hash mismatch against checkpoint")
     config = ModelConfig(**ckpt.config)
     model = init_params(config, src_vocab, tgt_vocab, seed=0)
     model.load_param_arrays(ckpt.params)

@@ -16,10 +16,9 @@ from pivotnmt.decoding import (
     BeamConfig,
     DecodeError,
     Hypothesis,
-    backtranslate,
     beam_search_batch,
-    distill_teacher_student,
     pivot_translate,
+    translate_side,
     translate_tokens,
 )
 from pivotnmt.model import ModelConfig, Seq2SeqModel, init_params
@@ -438,7 +437,7 @@ def test_distillation_emits_teacher_hypotheses(pivot_chain):
     src_piv = ParallelCorpus(
         pairs=corpus1.pairs[:25], src_lang="src", tgt_lang="piv"
     )
-    synth, dropped = distill_teacher_student(src_piv, m2, BeamConfig(beam_size=4), out_lang="tgt")
+    synth, dropped = translate_side(src_piv, m2, BeamConfig(beam_size=4), "piv", "tgt")
     assert dropped == 0
     assert len(synth) == 25
     refs = []
@@ -448,6 +447,7 @@ def test_distillation_emits_teacher_hypotheses(pivot_chain):
     # sources preserved verbatim
     for (s, _), (s2, _) in zip(src_piv.pairs, synth.pairs):
         assert s == s2
+    assert (synth.src_lang, synth.tgt_lang) == ("src", "tgt")
 
 
 def test_backtranslation_synthesizes_sources(pivot_chain):
@@ -459,8 +459,19 @@ def test_backtranslation_synthesizes_sources(pivot_chain):
         src_lang="piv",
         tgt_lang="tgt",
     )
-    synth, dropped = backtranslate(piv_tgt, back_model, BeamConfig(beam_size=4), out_lang="src")
+    synth, dropped = translate_side(piv_tgt, back_model, BeamConfig(beam_size=4), "piv", "src")
     assert dropped == 0
     assert len(synth) == 20
     refs = [[f"a{w[1:]}" for w in p] for p, _ in piv_tgt.pairs]
     assert bleu([s for s, _ in synth.pairs], refs).score > 90.0
+    # targets preserved verbatim
+    assert [t for _, t in synth.pairs] == [t for _, t in piv_tgt.pairs]
+    assert (synth.src_lang, synth.tgt_lang) == ("src", "tgt")
+
+
+@pytest.mark.parametrize("langs", [("src", "tgt"), ("piv", "piv")])
+def test_translate_side_needs_the_language_on_one_side(pivot_chain, langs):
+    _, m2, corpus1 = pivot_chain
+    corpus = ParallelCorpus(pairs=corpus1.pairs[:2], src_lang=langs[0], tgt_lang=langs[1])
+    with pytest.raises(DecodeError):
+        translate_side(corpus, m2, BeamConfig(), "piv", "tgt")
