@@ -6,6 +6,16 @@ artifact a command writes lands under a run directory and is recorded in a
 manifest with its content hash; `report` re-verifies those hashes and fails
 loudly on any mismatch.
 
+A command that takes `--config` reads a JSON object with two sections,
+`world` (a `ToyWorldSpec`) and `settings` (a `recipes.Settings`), each over
+its class defaults; `--set section.key=value` overrides one key. The stage
+commands read the same `settings` as the recipe that runs that stage: `train`
+and `stepwise` take `model` and `pretrain` (`train --schedule-section
+finetune` the `finetune` schedule), `xenc-pretrain` also `p_del`, `p_rep`,
+`d_per` and `ae_weight`, `finetune` takes `finetune`, and `fit-adapter`
+takes `adapter_pooling` and `adapter_pairs`. Any other top-level section, or
+a key or value the classes reject, is invalid-config.
+
 Errors exit nonzero with one machine-parseable line on stderr:
     error code=<class> msg="<details>"
 where <class>, chosen from the exception's type, is one of usage (exit 2),
@@ -31,11 +41,10 @@ from .bleu import bleu
 from .checkpoint import Checkpoint, CheckpointError
 from .data import CorpusError, NoiseConfig, ParallelCorpus
 from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
-from .model import ModelConfig, init_params
+from .model import init_params
 from .recipes import GRIDS, RECIPES, Settings, Workbench, run_recipe
 from .toyworld import ToyWorldSpec, write_toy_corpora
 from .training import (
-    TrainSchedule,
     crosslingual_pretrain,
     finetune,
     model_of,
@@ -169,24 +178,21 @@ def load_experiment_config(path=None, overrides=()) -> dict:
 
 
 def experiment_pieces(raw: dict):
+    """The (world, settings) of a config: its only sections, each over the
+    defaults of `ToyWorldSpec()` and `Settings()`."""
+    stray = sorted(set(raw) - {"world", "settings"})
+    if stray:
+        raise CliError("invalid-config", f"unknown config sections {stray} (only world, settings)")
     try:
         world = ToyWorldSpec(**raw.get("world", {}))
-        world.languages = tuple(world.languages)
-        world.sentence_length_range = tuple(world.sentence_length_range)
         settings = Settings.from_dict(raw.get("settings", {}))
     except Exception as e:
         raise CliError("invalid-config", f"bad experiment config: {e}")
     return world, settings
 
 
-def _schedule_from(raw: dict, section: str, default: TrainSchedule) -> TrainSchedule:
-    if section in raw:
-        return TrainSchedule(**raw[section])
-    return default
-
-
-def _model_config_from(raw: dict) -> ModelConfig:
-    return ModelConfig(**raw.get("model", {}))
+def _settings(args) -> Settings:
+    return experiment_pieces(load_experiment_config(args.config, args.set or []))[1]
 
 
 def _read_lines(path) -> list:
@@ -220,8 +226,7 @@ def _load_corpus(src, tgt, src_lang="src", tgt_lang="tgt", weight=1.0) -> Parall
 # ---------------------------------------------------------------------------
 
 def cmd_gen_toy(args):
-    raw = load_experiment_config(args.config, args.set or [])
-    world, _ = experiment_pieces(raw)
+    world, _ = experiment_pieces(load_experiment_config(args.config, args.set or []))
     if args.seed is not None:
         world.seed = args.seed
     out = Path(args.out)
@@ -266,9 +271,7 @@ def _vocab(path) -> bpe.Vocabulary:
 
 
 def cmd_train(args):
-    raw = load_experiment_config(args.config, args.set or [])
-    config = _model_config_from(raw)
-    schedule = _schedule_from(raw, args.schedule_section, TrainSchedule())
+    settings = _settings(args)
     sv, tv = _vocab(args.src_vocab), _vocab(args.tgt_vocab)
     corpus = _load_corpus(args.src_train, args.tgt_train, args.src_lang, args.tgt_lang)
     val = _load_corpus(args.src_val, args.tgt_val, args.src_lang, args.tgt_lang)
@@ -276,12 +279,12 @@ def cmd_train(args):
         parent = Checkpoint.load(_require_file(args.init_from, "checkpoint"))
         model = model_of(parent, sv, tv)
     else:
-        model = init_params(config, sv, tv, args.seed)
+        model = init_params(settings.model, sv, tv, args.seed)
     ck = train(
         model,
         corpus,
         val,
-        schedule,
+        getattr(settings, args.schedule_section),
         seed=args.seed,
         frozen_groups=tuple(args.frozen.split(",")) if args.frozen else (),
         recipe=args.recipe_name,
@@ -302,9 +305,7 @@ def cmd_transfer_init(args):
 
 
 def cmd_stepwise(args):
-    raw = load_experiment_config(args.config, args.set or [])
-    config = _model_config_from(raw)
-    schedule = _schedule_from(raw, "pretrain", TrainSchedule())
+    settings = _settings(args)
     joint_vocab = _vocab(args.joint_vocab)
     piv_vocab = _vocab(args.piv_vocab)
     tgt_vocab = _vocab(args.tgt_vocab)
@@ -318,8 +319,8 @@ def cmd_stepwise(args):
     )
     stage1 = Checkpoint.load(_require_file(args.stage1, "stage-1 checkpoint")) if args.stage1 else None
     ck = stepwise_pretrain(
-        config, joint_vocab, piv_vocab, tgt_vocab, src_piv, piv_tgt,
-        schedule, seed=args.seed, stage1_ckpt=stage1,
+        settings.model, joint_vocab, piv_vocab, tgt_vocab, src_piv, piv_tgt,
+        settings.pretrain, seed=args.seed, stage1_ckpt=stage1,
     )
     ck.save(args.out)
     print(f"step-wise checkpoint -> {args.out}")
@@ -327,9 +328,7 @@ def cmd_stepwise(args):
 
 
 def cmd_xenc_pretrain(args):
-    raw = load_experiment_config(args.config, args.set or [])
-    config = _model_config_from(raw)
-    schedule = _schedule_from(raw, "pretrain", TrainSchedule())
+    settings = _settings(args)
     joint_vocab = _vocab(args.joint_vocab)
     piv_vocab = _vocab(args.piv_vocab)
     src_piv = (
@@ -339,10 +338,12 @@ def cmd_xenc_pretrain(args):
     lines = _read_token_lines(args.autoenc)
     noise = None
     if not args.clean:
-        noise = NoiseConfig(p_del=args.p_del, p_rep=args.p_rep, d_per=args.d_per, seed=args.seed)
+        noise = NoiseConfig(
+            p_del=settings.p_del, p_rep=settings.p_rep, d_per=settings.d_per, seed=args.seed
+        )
     ck = crosslingual_pretrain(
-        config, joint_vocab, piv_vocab, src_piv, lines, noise, schedule,
-        seed=args.seed, autoenc_weight=args.ae_weight,
+        settings.model, joint_vocab, piv_vocab, src_piv, lines, noise, settings.pretrain,
+        seed=args.seed, autoenc_weight=settings.ae_weight,
     )
     ck.save(args.out)
     print(f"cross-lingual encoder checkpoint -> {args.out}")
@@ -350,13 +351,15 @@ def cmd_xenc_pretrain(args):
 
 
 def cmd_fit_adapter(args):
+    settings = _settings(args)
     sv_a, tv_a = _vocab(args.src_encoder_src_vocab), _vocab(args.src_encoder_tgt_vocab)
     sv_b, tv_b = _vocab(args.piv_encoder_src_vocab), _vocab(args.piv_encoder_tgt_vocab)
     enc_src = model_of(Checkpoint.load(_require_file(args.src_encoder, "checkpoint")), sv_a, tv_a)
     enc_piv = model_of(Checkpoint.load(_require_file(args.piv_encoder, "checkpoint")), sv_b, tv_b)
     corpus = _load_corpus(args.src, args.piv, "src", "piv")
     pooled = collect_pairs(
-        corpus, enc_src, enc_piv, mode=args.pooling, max_pairs=args.pairs, seed=args.seed
+        corpus, enc_src, enc_piv,
+        mode=settings.adapter_pooling, max_pairs=settings.adapter_pairs, seed=args.seed,
     )
     adapter = fit_adapter(pooled)
     adapter.save(args.out)
@@ -368,15 +371,14 @@ def cmd_fit_adapter(args):
 
 
 def cmd_finetune(args):
-    raw = load_experiment_config(args.config, args.set or [])
-    schedule = _schedule_from(raw, "finetune", TrainSchedule.finetune_default())
+    settings = _settings(args)
     sv, tv = _vocab(args.src_vocab), _vocab(args.tgt_vocab)
     ck = Checkpoint.load(_require_file(args.ckpt, "checkpoint"))
     corpus = _load_corpus(args.src_train, args.tgt_train, "src", "tgt")
     val = _load_corpus(args.src_val, args.tgt_val, "src", "tgt")
     adapter = AdapterMatrix.load(_require_file(args.adapter, "adapter")) if args.adapter else None
     out = finetune(
-        ck, sv, tv, (corpus, val), schedule, seed=args.seed,
+        ck, sv, tv, (corpus, val), settings.finetune, seed=args.seed,
         adapter=adapter,
         allow_adapter_after_stepwise=args.force_adapter,
     )
@@ -452,10 +454,9 @@ def cmd_recipe(args):
     world, settings = experiment_pieces(raw)
     out_root = Path(args.out)
     names = GRIDS[args.grid] if args.grid else args.name
-    seeds = [int(s) for s in args.seeds.split(",")]
     cache_dir = out_root / "_stages"
     all_results = []
-    for seed in seeds:
+    for seed in args.seed:
         wb = Workbench(replace(world, seed=seed), settings, seed, cache_dir=cache_dir)
         for name in names:
             run_dir = out_root / f"{name}--seed{seed}"
@@ -502,7 +503,7 @@ def cmd_recipe(args):
                 "scores": scores,
             }
         _write_json(out_root / f"grid-{args.grid}.json", {"grid": args.grid, "summary": summary})
-        print(f"\n{args.grid} (mean per recipe over seeds {seeds}):")
+        print(f"\n{args.grid} (mean per recipe over seeds {args.seed}):")
         for name in names:
             m = summary[name]
             print(f"  {name:>26s}  {m['mean']:6.2f} +- {m['sd']:.2f}")
@@ -527,11 +528,12 @@ def cmd_report(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="JSON experiment config")
+def _add_common(p, **seed):
+    """--config and --set, plus an int --seed (default 1 unless `seed` overrides)."""
+    p.add_argument("--config", default=None, help="JSON config with sections world, settings")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="config override (flags win over the file)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", **{"type": int, "default": 1, **seed})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -551,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-toy", help="generate toy-world corpora")
-    _add_common(p)
+    _add_common(p, default=None, help="overrides world.seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_toy)
 
@@ -583,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-lang", default="tgt")
     p.add_argument("--frozen", default=None, help="comma-separated parameter groups")
     p.add_argument("--init-from", default=None)
-    p.add_argument("--schedule-section", default="pretrain")
+    p.add_argument("--schedule-section", choices=("pretrain", "finetune"), default="pretrain",
+                   help="which settings schedule to train on")
     p.add_argument("--recipe-name", default="train")
     p.add_argument("--log", default=None)
     p.add_argument("--out", required=True)
@@ -612,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("joint-vocab", "piv-vocab", "src-train", "tgt-train", "src-val", "tgt-val", "autoenc"):
         p.add_argument(f"--{flag}", required=True)
     p.add_argument("--clean", action="store_true", help="disable input noising")
-    p.add_argument("--p-del", type=float, default=0.1)
-    p.add_argument("--p-rep", type=float, default=0.1)
-    p.add_argument("--d-per", type=int, default=3)
-    p.add_argument("--ae-weight", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_xenc_pretrain)
 
@@ -627,8 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         "piv-encoder-src-vocab", "piv-encoder-tgt-vocab",
     ):
         p.add_argument(f"--{flag}", required=True)
-    p.add_argument("--pooling", choices=("average", "max"), default="average")
-    p.add_argument("--pairs", type=int, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_adapter)
 
@@ -699,12 +696,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bleu)
 
     p = sub.add_parser("recipe", help="run named end-to-end recipes or a grid")
-    _add_common(p)
+    _add_common(p, nargs="+", default=[1], help="one or more seeds")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--name", nargs="+", choices=list(RECIPES), metavar="NAME",
                        help=f"one or more of: {', '.join(RECIPES)}")
     which.add_argument("--grid", choices=sorted(GRIDS))
-    p.add_argument("--seeds", default="1")
     p.add_argument("--out", default="runs")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_recipe)

@@ -374,12 +374,9 @@ class Seq2SeqModel:
         memory = self.encode(batch.src, adapter=adapter)
         states = self.decode_states(self.decoder_input(tgt), memory, batch.src)
         logits = self.output_logits(states)
-        loss = T.cross_entropy_logits(
+        return T.cross_entropy_logits(
             logits, tgt.ravel(), weights, label_smoothing=self.config.label_smoothing
         )
-        if not np.isfinite(loss.data):
-            raise ModelError("non-finite training loss")
-        return loss
 
     def token_logprobs(self, batch: Batch, adapter=None) -> tuple:
         """(logprob of each reference token, pad mask) without tape recording."""

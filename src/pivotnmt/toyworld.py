@@ -41,6 +41,9 @@ class ToyWorldSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # JSON gives lists; hold tuples so equal specs compare equal
+        self.languages = tuple(self.languages)
+        self.sentence_length_range = tuple(self.sentence_length_range)
         lo, hi = self.sentence_length_range
         if lo < 1 or hi < lo:
             raise CorpusError(f"bad sentence length range ({lo}, {hi})")
@@ -55,17 +58,11 @@ class ToyWorldSpec:
     def from_json(cls, path) -> "ToyWorldSpec":
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-        spec = cls(**{k: v for k, v in raw.items()})
-        spec.languages = tuple(spec.languages)
-        spec.sentence_length_range = tuple(spec.sentence_length_range)
-        return spec
+        return cls(**raw)
 
     def to_json(self, path):
-        raw = asdict(self)
-        raw["languages"] = list(self.languages)
-        raw["sentence_length_range"] = list(self.sentence_length_range)
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(raw, f, indent=2, sort_keys=True)
+            json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 
 
@@ -159,8 +156,6 @@ def write_toy_corpora(spec: ToyWorldSpec, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     corpora = generate_toy_corpora(spec)
     manifest = {"seed": spec.seed, "spec": asdict(spec), "files": {}, "sizes": {}}
-    manifest["spec"]["languages"] = list(spec.languages)
-    manifest["spec"]["sentence_length_range"] = list(spec.sentence_length_range)
     for name, corpus in corpora.items():
         if name == "mono-piv":
             path = out_dir / "mono-piv.piv"

@@ -30,7 +30,7 @@ from .data import (
     make_batches,
     mix_corpora,
 )
-from .model import ModelConfig, ModelError, Seq2SeqModel, init_params
+from .model import ModelConfig, Seq2SeqModel, init_params
 
 log = logging.getLogger(__name__)
 
@@ -54,11 +54,6 @@ class TrainSchedule:
     checkpoint_interval: int = 200  # updates per validation checkpoint
     max_updates: int = 2000
     max_tokens: int = 1024
-
-    @classmethod
-    def finetune_default(cls) -> "TrainSchedule":
-        # finer evaluation on the small fine-tuning corpora
-        return cls(checkpoint_interval=100, max_updates=1200)
 
 
 class ScheduleTracker:
@@ -173,7 +168,6 @@ def train(
         log.info("%s %s", recipe, line)
 
     best_arrays = model.clone_params()
-    best_ppl = math.inf
     updates = 0
     stop = False
     diverged = False
@@ -199,13 +193,6 @@ def train(
                 diverged = True
                 stop = True
                 break
-            except ModelError as e:
-                if "non-finite" not in str(e):
-                    raise
-                log.warning("%s diverged at step %d: %s", recipe, updates, e)
-                diverged = True
-                stop = True
-                break
             T.adam_step(model.params, adam, frozen=frozen)
             last_loss = loss.item()
             updates += 1
@@ -217,7 +204,6 @@ def train(
                 emit(updates, last_loss, ppl)
                 if events["improved"]:
                     best_arrays = model.clone_params()
-                    best_ppl = ppl
                 if events["decayed"]:
                     adam.learning_rate = tracker.lr
                 if events["stop"]:
@@ -230,7 +216,6 @@ def train(
         ppl = validation_perplexity(model, val_corpus, schedule.max_tokens, adapter=adapter)
         if tracker.observe(ppl)["improved"]:
             best_arrays = model.clone_params()
-            best_ppl = ppl
         emit(updates, last_loss if updates else float("nan"), ppl)
     model.set_train(False)
     model.load_param_arrays(best_arrays)
@@ -253,9 +238,7 @@ def train(
             "position": "post_encoder_norm",
         },
     }
-    state = tracker.state()
-    state["best_ppl"] = None if math.isinf(best_ppl) else best_ppl
-    return checkpoint_of(model, provenance, state)
+    return checkpoint_of(model, provenance, tracker.state())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
-"""The command-line interface through `cli.main`: recipe runs, manifests, exit codes."""
+"""The command-line interface through `cli.main`: recipe runs, stage commands
+against the Workbench stages they reproduce, manifests, exit codes."""
 
+import argparse
 import json
 import shutil
 
 import pytest
 
 from pivotnmt import bpe
-from pivotnmt.cli import experiment_pieces, load_experiment_config, main
+from pivotnmt.checkpoint import Checkpoint
+from pivotnmt.cli import build_parser, experiment_pieces, load_experiment_config, main
 from pivotnmt.model import ModelConfig, init_params
-from pivotnmt.recipes import Settings
+from pivotnmt.recipes import Settings, Workbench
 from pivotnmt.training import checkpoint_of
 
 TINY_CONFIG = {
@@ -90,18 +93,42 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert "code=missing-input" in capsys.readouterr().err
 
 
+def _config_commands(absent):
+    """Every subcommand that takes --config, its required flags naming `absent`."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        flags = {a.option_strings[-1]: a for a in parser._actions if a.option_strings}
+        if "--config" in flags:
+            required = [f for f, a in flags.items() if a.required]
+            extra = ["--name", "direct"] if name == "recipe" else []
+            yield [name, *extra, *(x for f in required for x in (f, absent))]
+
+
 @pytest.mark.parametrize(
     "config_text, overrides",
-    [("{not json", []), (json.dumps(TINY_CONFIG), ["settings.no_such_key=1"])],
+    [
+        ("{not json", []),
+        (json.dumps(TINY_CONFIG), ["settings.no_such_key=1"]),
+        ("{}", ["settings.model.bogus=1"]),
+        # 4 heads by default
+        ("{}", ["settings.model.model_dim=10"]),
+        (json.dumps({**TINY_CONFIG, "model": {"layers": 1}}), []),
+    ],
 )
 def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
     config = tmp_path / "bad.json"
     config.write_text(config_text, encoding="utf-8")
-    args = ["recipe", "--name", "direct", "--config", str(config), "--out", str(tmp_path / "runs")]
-    for item in overrides:
-        args += ["--set", item]
-    assert main(args) == 4
-    assert "code=invalid-config" in capsys.readouterr().err
+    commands = list(_config_commands(str(tmp_path / "absent")))
+    assert [c[0] for c in commands] == [
+        "gen-toy", "train", "stepwise", "xenc-pretrain", "fit-adapter", "finetune", "recipe",
+    ]
+    for args in commands:
+        args += ["--config", str(config)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 4, args[0]
+        assert "code=invalid-config" in capsys.readouterr().err
+    assert not (tmp_path / "absent").exists()
 
 
 def test_set_overrides_only_the_named_keys_of_a_section():
@@ -114,6 +141,123 @@ def test_set_overrides_only_the_named_keys_of_a_section():
     assert settings.model.model_dim == default.model.model_dim == 64
     assert settings.finetune == default.finetune
     assert Settings.from_dict(default.to_dict()) == default
+
+
+# ---------------------------------------------------------------------------
+# stage commands read the recipe settings
+# ---------------------------------------------------------------------------
+
+PARITY_CONFIG = {"world": {**TINY_CONFIG["world"], "seed": 3}, "settings": TINY_CONFIG["settings"]}
+# the files of `Workbench.lang_lines`, in its order
+LANG_FILES = {
+    "src": ["src-piv.src", "src-tgt.src"],
+    "piv": ["src-piv.piv", "piv-tgt.piv", "mono-piv.piv"],
+}
+VAL_FILES = {"src": ["src-piv.val.src"], "piv": ["src-piv.val.piv"]}
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """`gen-toy` on PARITY_CONFIG, segmented by `learn-bpe`/`apply-bpe` and
+    counted by `build-vocab` the way a Workbench does it: separate src and
+    piv subwords, and joint src+piv subwords. Returns a path lookup."""
+    root = tmp_path_factory.mktemp("stages")
+    config = root / "config.json"
+    config.write_text(json.dumps(PARITY_CONFIG), encoding="utf-8")
+    toy = root / "toy"
+    assert main(["gen-toy", "--config", str(config), "--out", str(toy)]) == 0
+    merges = str(TINY_CONFIG["settings"]["merge_count"])
+
+    def path(regime, name):
+        return str(root / f"{regime}.{name}")
+
+    def segment(regime, langs):
+        learned = [str(toy / f) for lang in langs for f in LANG_FILES[lang]]
+        assert main(["learn-bpe", "--input", *learned, "--merges", merges,
+                     "--languages", ",".join(langs), "--out", path(regime, "bpe")]) == 0
+        for lang in langs:
+            for f in LANG_FILES[lang] + VAL_FILES[lang]:
+                assert main(["apply-bpe", "--model", path(regime, "bpe"),
+                             "--input", str(toy / f), "--output", path(regime, f)]) == 0
+
+    def vocab(name, regime, langs, *flags):
+        seg = [path(regime, f) for lang in langs for f in LANG_FILES[lang]]
+        assert main(["build-vocab", "--input", *seg, *flags, "--out", path(name, "vocab")]) == 0
+
+    for lang in ("src", "piv"):
+        segment(lang, [lang])
+        vocab(lang, lang, [lang])
+    segment("joint", ["src", "piv"])
+    vocab("joint-blank", "joint", ["src", "piv"], "--blank")
+    vocab("joint-piv", "joint", ["piv"])
+    return path, str(config)
+
+
+def _train_src_piv(staged, out, *extra):
+    path, config = staged
+    return main([
+        "train", "--config", config, "--seed", "3", "--src-lang", "src", "--tgt-lang", "piv",
+        "--src-train", path("src", "src-piv.src"), "--tgt-train", path("piv", "src-piv.piv"),
+        "--src-val", path("src", "src-piv.val.src"), "--tgt-val", path("piv", "src-piv.val.piv"),
+        "--src-vocab", path("src", "vocab"), "--tgt-vocab", path("piv", "vocab"),
+        "--out", str(out), *extra,
+    ])
+
+
+def test_stage_commands_train_the_workbench_stages(staged, tmp_path):
+    path, config = staged
+    world, settings = experiment_pieces(PARITY_CONFIG)
+    wb = Workbench(world, settings, 3)
+
+    out = tmp_path / "sep.ckpt"
+    assert _train_src_piv(staged, out, "--recipe-name", "pretrain-src-piv-sep") == 0
+    assert Checkpoint.load(out).content_hash() == wb.ckpt_sep("src-piv").content_hash()
+
+    out = tmp_path / "xenc.ckpt"
+    assert main([
+        "xenc-pretrain", "--config", config, "--seed", "3",
+        "--joint-vocab", path("joint-blank", "vocab"), "--piv-vocab", path("joint-piv", "vocab"),
+        "--src-train", path("joint", "src-piv.src"), "--tgt-train", path("joint", "src-piv.piv"),
+        "--src-val", path("joint", "src-piv.val.src"),
+        "--tgt-val", path("joint", "src-piv.val.piv"),
+        "--autoenc", path("joint", "src-piv.piv"), "--out", str(out),
+    ]) == 0
+    assert Checkpoint.load(out).content_hash() == wb.ckpt_xenc().content_hash()
+
+
+def test_finetune_schedules_follow_settings_finetune(staged, tmp_path):
+    path, config = staged
+    trained = tmp_path / "direct.ckpt"
+    assert _train_src_piv(staged, trained, "--schedule-section", "finetune",
+                          "--set", "settings.finetune.max_updates=3") == 0
+    assert Checkpoint.load(trained).provenance["updates"] == 3
+    tuned = tmp_path / "tuned.ckpt"
+    assert main([
+        "finetune", "--config", config, "--set", "settings.finetune.max_updates=2",
+        "--ckpt", str(trained),
+        "--src-train", path("src", "src-piv.src"), "--tgt-train", path("piv", "src-piv.piv"),
+        "--src-val", path("src", "src-piv.val.src"), "--tgt-val", path("piv", "src-piv.val.piv"),
+        "--src-vocab", path("src", "vocab"), "--tgt-vocab", path("piv", "vocab"),
+        "--out", str(tuned),
+    ]) == 0
+    assert Checkpoint.load(tuned).provenance["updates"] == 2
+
+
+def test_gen_toy_seed_flag_overrides_the_world_seed_only_when_given(tmp_path):
+    config = tmp_path / "world.json"
+    config.write_text(json.dumps({"world": {**TINY_CONFIG["world"], "seed": 7}}), encoding="utf-8")
+    for extra, seed in (([], 7), (["--seed", "9"], 9)):
+        out = tmp_path / str(seed)
+        assert main(["gen-toy", "--config", str(config), "--out", str(out), *extra]) == 0
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["seed"] == seed
+
+
+def test_recipe_seed_names_the_run(recipe_out):
+    out, config = recipe_out
+    assert main(["recipe", "--name", "direct", "--seed", "5", "--config", str(config),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "direct--seed5" / "report.json").read_text(encoding="utf-8"))
+    assert report["seed"] == 5
 
 
 # ---------------------------------------------------------------------------

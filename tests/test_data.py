@@ -98,18 +98,19 @@ def test_invalid_spec_rejected():
 
 
 def test_write_round_trip(tmp_path):
-    spec = small_spec()
-    corpora = write_toy_corpora(spec, tmp_path)
-    loaded = ParallelCorpus.load(
-        tmp_path / "src-piv.src", tmp_path / "src-piv.piv", "src", "piv"
-    )
-    assert loaded.pairs == [
-        (list(s), list(t)) for s, t in corpora["src-piv"].pairs
-    ]
-    assert (tmp_path / "manifest.json").exists()
-    spec.to_json(tmp_path / "world.json")
-    again = ToyWorldSpec.from_json(tmp_path / "world.json")
-    assert again == spec
+    # the second spec is given lists, as a JSON config gives them
+    lists = small_spec(languages=["src", "piv", "tgt"], sentence_length_range=[2, 6])
+    for i, spec in enumerate([small_spec(), lists]):
+        out = tmp_path / str(i)
+        corpora = write_toy_corpora(spec, out)
+        loaded = ParallelCorpus.load(out / "src-piv.src", out / "src-piv.piv", "src", "piv")
+        assert loaded.pairs == [
+            (list(s), list(t)) for s, t in corpora["src-piv"].pairs
+        ]
+        assert (out / "manifest.json").exists()
+        spec.to_json(out / "world.json")
+        again = ToyWorldSpec.from_json(out / "world.json")
+        assert again == spec
 
 
 # ---------------------------------------------------------------------------
