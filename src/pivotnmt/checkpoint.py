@@ -96,13 +96,23 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Read a checkpoint; any truncation, trailing bytes or malformed
+        field raises `CheckpointError`."""
         with open(path, "rb") as f:
             raw = f.read()
         if raw[:8] != MAGIC:
             raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+        try:
+            return cls._parse(raw)
+        except (ValueError, KeyError, TypeError, OverflowError, struct.error) as e:
+            # json and utf-8 decoding errors are ValueErrors
+            raise CheckpointError(f"{path} is truncated or corrupt: {type(e).__name__}: {e}") from None
+
+    @classmethod
+    def _parse(cls, raw: bytes) -> "Checkpoint":
         (header_len,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        base = 16 + header_len
+        base = end = 16 + header_len
         params = {}
         for rec in header["tensors"]:
             pos = base + rec["offset"]
@@ -120,6 +130,9 @@ class Checkpoint:
             count = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(raw, dtype=dt, count=count, offset=pos).reshape(dims)
             params[name] = arr.copy()
+            end = pos + arr.nbytes
+        if end != len(raw):
+            raise CheckpointError(f"{len(raw) - end} bytes after the last tensor record")
         return cls(
             params=params,
             config=header["config"],

@@ -161,6 +161,8 @@ def load_experiment_config(path=None, overrides=()) -> dict:
                 raw = json.load(f)
             except json.JSONDecodeError as e:
                 raise CliError("invalid-config", f"bad JSON in {path}: {e}")
+        if not isinstance(raw, dict):
+            raise CliError("invalid-config", f"{path} must hold a JSON object")
     for item in overrides:
         if "=" not in item:
             raise CliError("usage", f"--set needs section.key=value, got {item!r}")
@@ -171,9 +173,12 @@ def load_experiment_config(path=None, overrides=()) -> dict:
         except json.JSONDecodeError:
             parsed = value
         node = raw
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-        node[keys[-1]] = parsed
+        try:
+            for k in keys[:-1]:
+                node = node.setdefault(k, {})
+            node[keys[-1]] = parsed
+        except (AttributeError, TypeError):  # a value where a section should be
+            raise CliError("invalid-config", f"--set {dotted}: {node!r} is not a section")
     return raw
 
 

@@ -5,11 +5,17 @@ across the batch share one decoder call. Hypotheses are ranked by
 length-normalized score (logprob / len^alpha; alpha=0 means raw logprob),
 and beam size 1 reduces exactly to greedy decoding.
 
-Decoding is incremental (see `model.DecodeState`): the encoder memory is
-projected for cross-attention once per sentence, and each step feeds only the
-newest token of every live hypothesis. Each state row belongs to one live
-hypothesis; after a step the search gathers the rows of the hypotheses that
-survive, a parent row once per child, with one `DecodeState.reorder`.
+Decoding is incremental (see `model.DecodeState`) and runs on plain arrays,
+with no tape: the encoder memory is projected for cross-attention once per
+sentence, and each step feeds only the newest token of every live
+hypothesis. Each state row belongs to one live hypothesis, and the search
+keeps its bookkeeping in arrays with one entry per row: the sentence, the
+token ids so far and the log-probability. After a step it picks each row's k
+best tokens with `argpartition`, sorts each sentence's candidates by score
+(stably, so ties keep row order and then argpartition order) and keeps the
+k best. The rows of the hypotheses that survive, a parent row once per
+child, are gathered with one `DecodeState.reorder` and one take of the id
+array. `Hypothesis` objects are made only for finished hypotheses.
 
 A sentence stops early, when alpha == 0, as soon as its best completed
 hypothesis scores at least as high as its best live one. That is exact:
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bpe
-from . import tensor as T
 from .data import ParallelCorpus
 from .model import Seq2SeqModel
 
@@ -71,8 +76,8 @@ class Hypothesis:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def beam_search_batch(
@@ -101,65 +106,68 @@ def beam_search_batch(
     for r, i in enumerate(live_idx):
         src[r, : len(src_id_lists[i])] = src_id_lists[i]
     model.set_train(False)
-    with T.no_grad():
-        memory = model.encode(src, adapter=adapter)
+    memory = model.encode(src, adapter=adapter, tape=False)
     state = model.start_decode(memory, src)
 
     k = cfg.beam_size
     alpha = cfg.length_normalization_alpha
-    finished: dict = {r: [] for r in range(len(live_idx))}
-    best_done: dict = {}  # sentence -> highest logprob among its completed hypotheses
+    n_live = len(live_idx)
+    finished: list = [[] for _ in live_idx]
+    best_done = np.full(n_live, -np.inf)  # highest completed logprob per sentence
+    any_done = False
     # decoder prefixes (bos + ids) cannot outgrow the positional table
     hard_cap = model.config.max_len - 1
-    caps = {
-        r: max(1, min(cfg.cap(len(src_id_lists[i])), hard_cap))
-        for r, i in enumerate(live_idx)
-    }
+    caps = np.array([max(1, min(cfg.cap(len(src_id_lists[i])), hard_cap)) for i in live_idx])
 
-    # one (sentence, live hypothesis) per decode-state row
-    rows = [(r, Hypothesis(ids=(), logprob=0.0, completed=False)) for r in range(len(live_idx))]
-    tokens = np.full((len(rows), 1), tv.bos_id, dtype=np.int64)
-    while rows:
-        logits = model.step_logits(tokens, state)
-        logp = _log_softmax(logits.astype(np.float64))
+    # state row j is one live hypothesis: its sentence, tokens and logprob;
+    # rows stay grouped by sentence, in input order
+    sent = np.arange(n_live)
+    hyp = np.empty((n_live, 0), dtype=np.int64)
+    score = np.zeros(n_live)
+    tokens = np.full((n_live, 1), tv.bos_id, dtype=np.int64)
+    while sent.size:
+        logp = _log_softmax(model.step_logits(tokens, state).astype(np.float64))
+        # each row's k best tokens, then each sentence's k best candidates: the
+        # sort is stable, so ties keep row order, then argpartition order
+        top = (-logp).argpartition(min(k, logp.shape[1] - 1), axis=1)[:, :k]
+        width = top.shape[1]
+        cand = (score[:, None] + logp[np.arange(sent.size)[:, None], top]).ravel()
+        cand_sent = sent.repeat(width)
+        order = np.lexsort((-cand, cand_sent))
+        s = cand_sent[order]
+        keep = np.arange(s.size) - s.searchsorted(s) < k
+        order, s = order[keep], s[keep]
+        parent, tok, new_score = order // width, top.ravel()[order], cand[order]
 
-        by_sentence: dict = {}
-        for j, (r, h) in enumerate(rows):
-            by_sentence.setdefault(r, []).append((j, h, logp[j]))
-        next_rows, parents = [], []
-        for r, items in by_sentence.items():
-            candidates = []
-            for j, h, lp in items:
-                top = np.argpartition(-lp, min(k, lp.size - 1))[:k]
-                for t in top:
-                    candidates.append((h.logprob + lp[t], int(t), j, h))
-            candidates.sort(key=lambda c: -c[0])
-            live = []
-            for score, tok, j, h in candidates[:k]:
-                ids = h.ids + (tok,)
-                if tok == tv.eos_id:
-                    finished[r].append(Hypothesis(ids=ids[:-1], logprob=score, completed=True))
-                    best_done[r] = max(best_done.get(r, score), score)
-                elif len(ids) >= caps[r]:
-                    finished[r].append(Hypothesis(ids=ids, logprob=score, completed=False))
-                else:
-                    live.append((j, Hypothesis(ids=ids, logprob=score, completed=False)))
-            if alpha == 0.0 and r in best_done and live and best_done[r] >= live[0][1].logprob:
-                live = []  # candidates are sorted: live[0] is the best live hypothesis
-            for j, h in live:
-                next_rows.append((r, h))
-                parents.append(j)
-        rows = next_rows
-        if rows:
-            state.reorder(parents)
-            tokens = np.array([[h.ids[-1]] for _, h in rows], dtype=np.int64)
+        eos = tok == tv.eos_id
+        ended = eos | (hyp.shape[1] + 1 >= caps[s])
+        for j in ended.nonzero()[0]:
+            r, lp, ids = s[j], float(new_score[j]), hyp[parent[j]].tolist()
+            if eos[j]:
+                best_done[r] = max(best_done[r], lp)
+                any_done = True
+            else:
+                ids.append(int(tok[j]))
+            finished[r].append(Hypothesis(ids=tuple(ids), logprob=lp, completed=bool(eos[j])))
+        live = (~ended).nonzero()[0]
+        if alpha == 0.0 and live.size and any_done:
+            # a sentence's first live candidate is its best one
+            live_sent = s[live]
+            first = np.ones(live.size, dtype=bool)
+            first[1:] = live_sent[1:] != live_sent[:-1]
+            stop = np.zeros(n_live, dtype=bool)
+            stop[live_sent[first]] = best_done[live_sent[first]] >= new_score[live[first]]
+            live = live[~stop[live_sent]]
+        sent, score, tokens = s[live], new_score[live], tok[live, None]
+        hyp = np.concatenate((hyp.take(parent[live], axis=0), tokens), axis=1)
+        if sent.size:
+            state.reorder(parent[live])
 
     for r, i in enumerate(live_idx):
         pool = finished[r]
         complete = [h for h in pool if h.completed]
         chosen_pool = complete if complete else pool
-        best = max(chosen_pool, key=lambda h: h.normalized(alpha))
-        results[i] = best
+        results[i] = max(chosen_pool, key=lambda h: h.normalized(alpha))
     return results
 
 

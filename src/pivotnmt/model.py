@@ -9,6 +9,16 @@ inside the src_embed group where freezing expects them.
 An optional d x d adapter matrix can be applied position-wise to the encoder
 output, after the final encoder norm, as the last step before cross-attention.
 
+The layer sequence is written once, in helpers that take an op set: the
+tape module `tensor` (Tensors recorded for backward, every op checked for
+NaN/Inf) or `tensor.ArrayOps` (plain arrays, the same kernels, no tape).
+Training runs on the tape. Inference runs on arrays: `encode`,
+`decode_states` and `output_logits` with `tape=False`, and through them
+`token_logprobs`, `start_decode` and `step_logits`. Each array call checks
+its output once for NaN/Inf (the encoder memory, padding positions included,
+and the logits), and its results equal the tape path's bit for bit: the two
+paths run the same kernels on the same memory layouts.
+
 Training and scoring run the decoder over whole target prefixes
 (`decode_states`). Decoding runs it one position at a time:
 `start_decode` projects every sentence's encoder memory into each layer's
@@ -62,11 +72,11 @@ class DecodeState:
     def reorder(self, parents) -> None:
         """Row j becomes a copy of row parents[j]; rows not named are dropped."""
         idx = np.asarray(parents, dtype=np.intp)
-        self.self_k = [a[idx] for a in self.self_k]
-        self.self_v = [a[idx] for a in self.self_v]
-        self.cross_k = [a[idx] for a in self.cross_k]
-        self.cross_v = [a[idx] for a in self.cross_v]
-        self.src_pad = self.src_pad[idx]
+        self.self_k = [a.take(idx, axis=0) for a in self.self_k]
+        self.self_v = [a.take(idx, axis=0) for a in self.self_v]
+        self.cross_k = [a.take(idx, axis=0) for a in self.cross_k]
+        self.cross_v = [a.take(idx, axis=0) for a in self.cross_v]
+        self.src_pad = self.src_pad.take(idx, axis=0)
 
 
 @dataclass
@@ -92,10 +102,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def paper_scale(cls) -> "ModelConfig":
-        return cls(layers=6, model_dim=512, ff_dim=2048, heads=8)
 
 
 def _uniform(rng, shape, a, dtype):
@@ -225,75 +231,97 @@ class Seq2SeqModel:
             self._rng = rng
 
     # -- building blocks ----------------------------------------------------
+    # Each helper takes the op set it runs on: the tape module `T` itself
+    # (Tensors, recorded for backward) or `T.ArrayOps` (plain arrays).
 
-    def _p(self, name) -> T.Tensor:
-        return self.params[name]
+    @staticmethod
+    def _ops(tape: bool):
+        return T if tape else T.ArrayOps
 
-    def _dropout(self, x: T.Tensor) -> T.Tensor:
+    @staticmethod
+    def _leaf(ops, t: T.Tensor):
+        """A tape leaf as `ops` takes it: the Tensor, or its array."""
+        return t if ops is T else t.data
+
+    def _p(self, ops, name):
+        # read at call time: surgery and checkpoint loading replace `.data`
+        return self._leaf(ops, self.params[name])
+
+    def _dropout(self, ops, x):
         p = self.config.dropout
         if not self._train_mode or p <= 0.0:
             return x
         draw = self._rng.random(x.shape, dtype=np.float32)
-        mask = (draw >= p).astype(x.data.dtype)
+        mask = (draw >= p).astype(x.dtype)
         mask *= 1.0 / (1.0 - p)
-        return T.mul(x, T.Tensor(mask, dtype=x.data.dtype))
+        return ops.mul(x, self._leaf(ops, T.Tensor(mask, dtype=x.dtype)))
 
-    def _embed(self, ids: np.ndarray, side: str) -> T.Tensor:
+    def _embed(self, ops, ids: np.ndarray, side: str, start: int = 0):
+        """Scaled token plus position embeddings of ids (b, length) at positions start, ..."""
         b, length = ids.shape
-        if length > self.config.max_len:
+        if start + length > self.config.max_len:
             raise ModelError(
-                f"sequence length {length} exceeds max_len {self.config.max_len}"
+                f"sequence length {start + length} exceeds max_len {self.config.max_len}"
             )
-        tok = T.embedding(self._p(f"{side}/tok"), ids)
-        pos_ids = np.broadcast_to(np.arange(length), (b, length))
-        pos = T.embedding(self._p(f"{side}/pos"), pos_ids)
-        x = T.scale(T.add(tok, pos), math.sqrt(self.config.model_dim))
-        return self._dropout(x)
+        tok = ops.embedding(self._p(ops, f"{side}/tok"), ids)
+        pos_ids = np.broadcast_to(np.arange(start, start + length), (b, length))
+        pos = ops.embedding(self._p(ops, f"{side}/pos"), pos_ids)
+        x = ops.scale(ops.add(tok, pos), math.sqrt(self.config.model_dim))
+        return self._dropout(ops, x)
 
-    def _split_heads(self, x: T.Tensor, b: int, length: int) -> T.Tensor:
-        h = self.config.heads
-        dh = self.config.model_dim // h
-        return T.transpose(T.reshape(x, (b, length, h, dh)), (0, 2, 1, 3))
+    def _linear(self, ops, name, x2d):
+        return ops.affine(x2d, self._p(ops, f"{name}/w"), self._p(ops, f"{name}/b"))
 
-    def _linear(self, name, x2d) -> T.Tensor:
-        return T.affine(x2d, self._p(f"{name}/w"), self._p(f"{name}/b"))
-
-    def _heads(self, prefix, proj, x2d, b, length) -> T.Tensor:
+    def _heads(self, ops, prefix, proj, x2d, b, length):
         """Project (b * length, d) rows with {prefix}/{proj}; split -> (b, h, length, dh)."""
-        return self._split_heads(self._linear(f"{prefix}/{proj}", x2d), b, length)
+        h = self.config.heads
+        y = self._linear(ops, f"{prefix}/{proj}", x2d)
+        return ops.transpose(ops.reshape(y, (b, length, h, self.config.model_dim // h)), (0, 2, 1, 3))
 
-    def _attend(self, prefix, q, k_t, v, mask) -> T.Tensor:
+    def _kv(self, ops, prefix, x2d, b, length):
+        """Keys (b, h, dh, length), transposed for the score product, and values (b, h, length, dh)."""
+        k = self._heads(ops, prefix, "wk", x2d, b, length)
+        return ops.transpose(k, (0, 1, 3, 2)), self._heads(ops, prefix, "wv", x2d, b, length)
+
+    def _attend(self, ops, prefix, q, k_t, v, mask):
         """Attention of q (b, h, lq, dh) over keys k_t (b, h, dh, lkv) and values
         v (b, h, lkv, dh), then the output projection -> (b * lq, d).
 
-        mask is a bool (b, h, lq, lkv) array, True = blocked.
+        mask is a bool (b, h, lq, lkv) array, True = blocked, or None.
         """
         b, _, lq, dh = q.shape
-        scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(dh))
+        scores = ops.scale(ops.matmul(q, k_t), 1.0 / math.sqrt(dh))
         if mask is not None:
-            scores = T.masked_fill(scores, mask, -1e9)
-        attn = T.softmax(scores)
-        ctx = T.matmul(attn, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b * lq, self.config.model_dim))
-        return self._linear(f"{prefix}/wo", ctx)
+            scores = ops.masked_fill(scores, mask, -1e9)
+        ctx = ops.matmul(ops.softmax(scores), v)
+        ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b * lq, self.config.model_dim))
+        return self._linear(ops, f"{prefix}/wo", ctx)
 
-    def _attention(self, prefix, q_in, kv_in, b, lq, lkv, mask):
-        """Multi-head attention; mask is a bool (b, h, lq, lkv) array, True = blocked."""
-        q = self._heads(prefix, "wq", q_in, b, lq)
-        k = self._heads(prefix, "wk", kv_in, b, lkv)
-        v = self._heads(prefix, "wv", kv_in, b, lkv)
-        return self._attend(prefix, q, T.transpose(k, (0, 1, 3, 2)), v, mask)
+    @staticmethod
+    def _attention_mask(blocked: np.ndarray, shape):
+        """`blocked` broadcast to the (b, h, lq, lkv) scores, or None when it
+        blocks nothing: filling no entry changes no value and no gradient."""
+        return np.broadcast_to(blocked, shape) if blocked.any() else None
 
-    def _norm(self, name, x):
-        return T.layer_norm(x, self._p(f"{name}/gain"), self._p(f"{name}/bias"))
+    def _norm(self, ops, name, x):
+        return ops.layer_norm(x, self._p(ops, f"{name}/gain"), self._p(ops, f"{name}/bias"))
 
-    def _ff(self, prefix, x2d):
-        return self._linear(f"{prefix}/w2", T.relu(self._linear(f"{prefix}/w1", x2d)))
+    def _ff(self, ops, prefix, x2d):
+        return self._linear(ops, f"{prefix}/w2", ops.relu(self._linear(ops, f"{prefix}/w1", x2d)))
+
+    def _residual(self, ops, x, y2d):
+        """x (b, l, d) plus the dropped-out sublayer output y2d (b * l, d)."""
+        return ops.add(x, self._dropout(ops, ops.reshape(y2d, x.shape)))
 
     # -- encoder / decoder --------------------------------------------------
 
-    def encode(self, src_ids: np.ndarray, adapter=None) -> T.Tensor:
-        """Encoder states (B, Ls, d); adapter (if given) is applied position-wise."""
+    def encode(self, src_ids: np.ndarray, adapter=None, tape: bool = True):
+        """Encoder states (B, Ls, d); adapter (if given) is applied position-wise.
+
+        With tape=False the result is a plain array, checked once for NaN/Inf
+        (padding positions included) instead of after every op.
+        """
+        ops = self._ops(tape)
         src_ids = np.asarray(src_ids)
         if src_ids.ndim != 2:
             raise ModelError(f"src ids must be (batch, length), got {src_ids.shape}")
@@ -302,62 +330,94 @@ class Seq2SeqModel:
         b, ls = src_ids.shape
         d = self.config.model_dim
         pad = src_ids == self.src_vocab.pad_id
-        mask = np.broadcast_to(pad[:, None, None, :], (b, self.config.heads, ls, ls))
-        x = self._embed(src_ids, "src_embed")
+        mask = self._attention_mask(pad[:, None, None, :], (b, self.config.heads, ls, ls))
+        x = self._embed(ops, src_ids, "src_embed")
         for i in range(self.config.layers):
             p = f"encoder/l{i}"
-            h = T.reshape(self._norm(f"{p}/attn_norm", x), (b * ls, d))
-            a = self._attention(f"{p}/attn", h, h, b, ls, ls, mask)
-            x = T.add(x, self._dropout(T.reshape(a, (b, ls, d))))
-            h = T.reshape(self._norm(f"{p}/ff_norm", x), (b * ls, d))
-            f = self._ff(f"{p}/ff", h)
-            x = T.add(x, self._dropout(T.reshape(f, (b, ls, d))))
-        x = self._norm("encoder/final_norm", x)
+            h = ops.reshape(self._norm(ops, f"{p}/attn_norm", x), (b * ls, d))
+            q = self._heads(ops, f"{p}/attn", "wq", h, b, ls)
+            k_t, v = self._kv(ops, f"{p}/attn", h, b, ls)
+            x = self._residual(ops, x, self._attend(ops, f"{p}/attn", q, k_t, v, mask))
+            h = ops.reshape(self._norm(ops, f"{p}/ff_norm", x), (b * ls, d))
+            x = self._residual(ops, x, self._ff(ops, f"{p}/ff", h))
+        x = self._norm(ops, "encoder/final_norm", x)
         if adapter is not None:
-            m = adapter.as_tensor(x.data.dtype)
+            m = self._leaf(ops, adapter.as_tensor(x.dtype))
             if m.shape != (d, d):
                 raise ModelError(f"adapter shape {m.shape} does not match d={d}")
-            x = T.reshape(T.matmul(T.reshape(x, (b * ls, d)), T.transpose(m)), (b, ls, d))
-        return x
+            x = ops.reshape(ops.matmul(ops.reshape(x, (b * ls, d)), ops.transpose(m)), (b, ls, d))
+        return x if tape else T.check_finite("encode", x)
 
-    def decode_states(self, tgt_in_ids: np.ndarray, memory: T.Tensor, src_ids: np.ndarray) -> T.Tensor:
+    def _cross_kv(self, ops, memory) -> list:
+        """Per decoder layer, the cross-attention (keys, values) of memory (B, Ls, d)."""
+        b, ls, d = memory.shape
+        mem2d = ops.reshape(memory, (b * ls, d))
+        return [
+            self._kv(ops, f"decoder/l{i}/cross_attn", mem2d, b, ls)
+            for i in range(self.config.layers)
+        ]
+
+    def _decoder(self, ops, ids, cross, src_pad, cache=None):
+        """Final-norm decoder states (b, lt, d) of target ids (b, lt).
+
+        `cross` holds each layer's (keys, values) from `_cross_kv`; src_pad
+        (b, Ls) is True at source padding. Without `cache` the ids are whole
+        prefixes from position 0. With a `DecodeState` (plain arrays only) they
+        are the positions after `cache.length`: each layer appends their
+        self-attention keys and values to the cache and attends over all of it.
+        """
+        b, lt = ids.shape
+        d, heads = self.config.model_dim, self.config.heads
+        start = 0 if cache is None else cache.length
+        # query start + i sees keys 0 .. start + i
+        blocked = np.arange(start + lt) > np.arange(start, start + lt)[:, None]
+        self_mask = self._attention_mask(blocked, (b, heads, lt, start + lt))
+        cross_mask = self._attention_mask(src_pad[:, None, None, :], (b, heads, lt, src_pad.shape[1]))
+        x = self._embed(ops, ids, "tgt_embed", start)
+        for i, (cross_k, cross_v) in enumerate(cross):
+            p = f"decoder/l{i}"
+            h = ops.reshape(self._norm(ops, f"{p}/self_norm", x), (b * lt, d))
+            q = self._heads(ops, f"{p}/self_attn", "wq", h, b, lt)
+            k_t, v = self._kv(ops, f"{p}/self_attn", h, b, lt)
+            if cache is not None:
+                k_t = cache.self_k[i] = np.concatenate((cache.self_k[i], k_t), axis=3)
+                v = cache.self_v[i] = np.concatenate((cache.self_v[i], v), axis=2)
+            x = self._residual(ops, x, self._attend(ops, f"{p}/self_attn", q, k_t, v, self_mask))
+            h = ops.reshape(self._norm(ops, f"{p}/cross_norm", x), (b * lt, d))
+            q = self._heads(ops, f"{p}/cross_attn", "wq", h, b, lt)
+            a = self._attend(ops, f"{p}/cross_attn", q, cross_k, cross_v, cross_mask)
+            x = self._residual(ops, x, a)
+            h = ops.reshape(self._norm(ops, f"{p}/ff_norm", x), (b * lt, d))
+            x = self._residual(ops, x, self._ff(ops, f"{p}/ff", h))
+        if cache is not None:
+            cache.length = start + lt
+        return self._norm(ops, "decoder/final_norm", x)
+
+    def decode_states(self, tgt_in_ids: np.ndarray, memory, src_ids: np.ndarray, tape: bool = True):
+        """Decoder states (B, Lt, d) of whole target prefixes over `memory`
+        (a Tensor, or with tape=False a plain array)."""
         tgt_in_ids = np.asarray(tgt_in_ids)
         if tgt_in_ids.size and (
             tgt_in_ids.min() < 0 or tgt_in_ids.max() >= len(self.tgt_vocab)
         ):
             raise ModelError("target id out of vocabulary range")
-        b, lt = tgt_in_ids.shape
-        ls = memory.shape[1]
-        d = self.config.model_dim
-        h_ = self.config.heads
-        causal = np.triu(np.ones((lt, lt), dtype=bool), k=1)
-        self_mask = np.broadcast_to(causal[None, None, :, :], (b, h_, lt, lt))
+        ops = self._ops(tape)
         src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
-        cross_mask = np.broadcast_to(src_pad[:, None, None, :], (b, h_, lt, ls))
-        mem2d = T.reshape(memory, (b * ls, d))
+        return self._decoder(ops, tgt_in_ids, self._cross_kv(ops, memory), src_pad)
 
-        x = self._embed(tgt_in_ids, "tgt_embed")
-        for i in range(self.config.layers):
-            p = f"decoder/l{i}"
-            h = T.reshape(self._norm(f"{p}/self_norm", x), (b * lt, d))
-            a = self._attention(f"{p}/self_attn", h, h, b, lt, lt, self_mask)
-            x = T.add(x, self._dropout(T.reshape(a, (b, lt, d))))
-            h = T.reshape(self._norm(f"{p}/cross_norm", x), (b * lt, d))
-            a = self._attention(f"{p}/cross_attn", h, mem2d, b, lt, ls, cross_mask)
-            x = T.add(x, self._dropout(T.reshape(a, (b, lt, d))))
-            h = T.reshape(self._norm(f"{p}/ff_norm", x), (b * lt, d))
-            f = self._ff(f"{p}/ff", h)
-            x = T.add(x, self._dropout(T.reshape(f, (b, lt, d))))
-        return self._norm("decoder/final_norm", x)
+    def output_logits(self, dec_states, tape: bool = True):
+        """Vocabulary logits (positions, V) of decoder states (..., d).
 
-    def output_logits(self, dec_states: T.Tensor) -> T.Tensor:
-        """Vocabulary logits (positions, V) of decoder states (..., d)."""
-        flat = T.reshape(dec_states, (-1, self.config.model_dim))
+        With tape=False the result is a plain array, checked once for NaN/Inf.
+        """
+        ops = self._ops(tape)
+        flat = ops.reshape(dec_states, (-1, self.config.model_dim))
         if self.config.tied_output_embedding:
-            logits = T.matmul(flat, T.transpose(self._p("tgt_embed/tok")))
+            w = ops.transpose(self._p(ops, "tgt_embed/tok"))
         else:
-            logits = T.matmul(flat, self._p("output_proj/w"))
-        return logits
+            w = self._p(ops, "output_proj/w")
+        logits = ops.matmul(flat, w)
+        return logits if tape else T.check_finite("output logits", logits)
 
     def decoder_input(self, tgt_ids: np.ndarray) -> np.ndarray:
         dec_in = np.full_like(tgt_ids, self.tgt_vocab.pad_id)
@@ -379,11 +439,10 @@ class Seq2SeqModel:
         )
 
     def token_logprobs(self, batch: Batch, adapter=None) -> tuple:
-        """(logprob of each reference token, pad mask) without tape recording."""
-        with T.no_grad():
-            memory = self.encode(batch.src, adapter=adapter)
-            states = self.decode_states(self.decoder_input(batch.tgt), memory, batch.src)
-            logits = self.output_logits(states).data
+        """(logprob of each reference token, pad mask), on plain arrays."""
+        memory = self.encode(batch.src, adapter=adapter, tape=False)
+        states = self.decode_states(self.decoder_input(batch.tgt), memory, batch.src, tape=False)
+        logits = self.output_logits(states, tape=False)
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         flat_tgt = batch.tgt.ravel()
@@ -398,12 +457,14 @@ class Seq2SeqModel:
             raise ModelError("batch has an all-padding target")
         return -(tok_lp * mask).sum(axis=1) / counts
 
-    def start_decode(self, memory: T.Tensor, src_ids: np.ndarray) -> DecodeState:
+    def start_decode(self, memory, src_ids: np.ndarray) -> DecodeState:
         """Empty decode state for the sentences of `memory` (B, Ls, d), one row each.
 
         Every layer's cross-attention keys and values are projected here, once
-        per sentence; no tape recording.
+        per sentence, on plain arrays (`memory` may also be a Tensor).
         """
+        if isinstance(memory, T.Tensor):
+            memory = memory.data
         b, ls, d = memory.shape
         src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
         if src_pad.shape != (b, ls):
@@ -411,27 +472,21 @@ class Seq2SeqModel:
         h = self.config.heads
         dh = d // h
         layers = self.config.layers
-        with T.no_grad():
-            mem2d = T.reshape(memory, (b * ls, d))
-            cross_k, cross_v = [], []
-            for i in range(layers):
-                p = f"decoder/l{i}/cross_attn"
-                cross_k.append(T.transpose(self._heads(p, "wk", mem2d, b, ls), (0, 1, 3, 2)).data)
-                cross_v.append(self._heads(p, "wv", mem2d, b, ls).data)
-        dt = memory.dtype
+        cross = self._cross_kv(T.ArrayOps, memory)
         return DecodeState(
-            self_k=[np.zeros((b, h, dh, 0), dtype=dt)] * layers,
-            self_v=[np.zeros((b, h, 0, dh), dtype=dt)] * layers,
-            cross_k=cross_k,
-            cross_v=cross_v,
+            self_k=[np.zeros((b, h, dh, 0), dtype=memory.dtype)] * layers,
+            self_v=[np.zeros((b, h, 0, dh), dtype=memory.dtype)] * layers,
+            cross_k=[k for k, _ in cross],
+            cross_v=[v for _, v in cross],
             src_pad=src_pad,
         )
 
     def step_logits(self, ids: np.ndarray, state: DecodeState) -> np.ndarray:
         """Feed one token per row, ids (rows, 1), at position state.length.
 
-        Returns that position's next-token logits (rows, V) and advances
-        `state` by one position. Inference only: no dropout, no tape recording.
+        Returns that position's next-token logits (rows, V), a plain array
+        checked once for NaN/Inf, and advances `state` by one position.
+        Dropout follows `set_train`, as in every forward pass.
         """
         ids = np.asarray(ids)
         rows = state.rows
@@ -439,49 +494,9 @@ class Seq2SeqModel:
             raise ModelError(f"step ids must be ({rows}, 1), got {ids.shape}")
         if ids.size and (ids.min() < 0 or ids.max() >= len(self.tgt_vocab)):
             raise ModelError("target id out of vocabulary range")
-        t = state.length
-        if t >= self.config.max_len:
-            raise ModelError(
-                f"decode position {t} exceeds max_len {self.config.max_len}"
-            )
-        d = self.config.model_dim
-        h = self.config.heads
-        dh = d // h
-        ls = state.src_pad.shape[1]
-        cross_mask = np.broadcast_to(state.src_pad[:, None, None, :], (rows, h, 1, ls))
-        self_k, self_v = [], []
-        with T.no_grad():
-            tok = T.embedding(self._p("tgt_embed/tok"), ids[:, 0])
-            pos = T.embedding(self._p("tgt_embed/pos"), np.full(rows, t))
-            x = T.scale(T.add(tok, pos), math.sqrt(d))  # (rows, d)
-            for i in range(self.config.layers):
-                p = f"decoder/l{i}"
-                y = self._norm(f"{p}/self_norm", x)
-                # one position: (rows, d) reshapes to any head layout without a transpose
-                q = T.reshape(self._linear(f"{p}/self_attn/wq", y), (rows, h, 1, dh))
-                k = self._linear(f"{p}/self_attn/wk", y).data.reshape(rows, h, dh, 1)
-                v = self._linear(f"{p}/self_attn/wv", y).data.reshape(rows, h, 1, dh)
-                self_k.append(np.concatenate((state.self_k[i], k), axis=3))
-                self_v.append(np.concatenate((state.self_v[i], v), axis=2))
-                a = self._attend(
-                    f"{p}/self_attn", q, T.Tensor(self_k[i]), T.Tensor(self_v[i]), None
-                )
-                x = T.add(x, a)
-                y = self._norm(f"{p}/cross_norm", x)
-                q = T.reshape(self._linear(f"{p}/cross_attn/wq", y), (rows, h, 1, dh))
-                a = self._attend(
-                    f"{p}/cross_attn",
-                    q,
-                    T.Tensor(state.cross_k[i]),
-                    T.Tensor(state.cross_v[i]),
-                    cross_mask,
-                )
-                x = T.add(x, a)
-                x = T.add(x, self._ff(f"{p}/ff", self._norm(f"{p}/ff_norm", x)))
-            logits = self.output_logits(self._norm("decoder/final_norm", x)).data
-        state.self_k, state.self_v = self_k, self_v
-        state.length = t + 1
-        return logits
+        cross = zip(state.cross_k, state.cross_v)
+        states = self._decoder(T.ArrayOps, ids, cross, state.src_pad, cache=state)
+        return self.output_logits(states, tape=False)
 
     # -- surgery helpers ----------------------------------------------------
 

@@ -19,7 +19,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -31,7 +31,7 @@ from .checkpoint import Checkpoint
 from .data import MixedCorpus, NoiseConfig, ParallelCorpus, mix_corpora
 from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
 from .model import ModelConfig, init_params
-from .toyworld import ToyWorldSpec, generate_toy_corpora
+from .toyworld import ToyWorldSpec, generate_toy_corpora, typed_like
 from .training import (
     TrainSchedule,
     crosslingual_pretrain,
@@ -83,15 +83,29 @@ class Settings:
     @classmethod
     def from_dict(cls, raw: dict) -> "Settings":
         """Given keys override the defaults above; a section given in part
-        keeps the rest of that section's default."""
-        base = cls()
-        return replace(
-            base,
-            **{
-                k: replace(getattr(base, k), **v) if isinstance(v, dict) else v
-                for k, v in raw.items()
-            },
-        )
+        keeps the rest of that section's default. A section must be an
+        object, and a value must have its default's type (an int may stand
+        for a float)."""
+        return _overridden("settings", cls(), raw)
+
+
+def _overridden(name: str, base, raw):
+    """The dataclass `base` with the keys of the object `raw` replaced, each
+    checked against the type of the value it replaces."""
+    if not isinstance(raw, dict):
+        raise RecipeError(f"{name} must be an object, got {raw!r}")
+    known = {f.name for f in fields(base)}
+    values = {}
+    for key, value in raw.items():
+        if key not in known:
+            raise RecipeError(f"unknown key {name}.{key}")
+        default = getattr(base, key)
+        if is_dataclass(default):
+            value = _overridden(f"{name}.{key}", default, value)
+        elif not typed_like(default, value):
+            raise RecipeError(f"{name}.{key} must be a {type(default).__name__}, got {value!r}")
+        values[key] = value
+    return replace(base, **values)
 
 
 @dataclass

@@ -11,6 +11,12 @@ Conventions:
   * training arithmetic defaults to float32; gradient checks and SVD run in
     float64
   * any primitive producing a non-finite value raises `NonFiniteError`
+
+`ArrayOps` holds the forward kernels of the primitives the model uses, on
+plain arrays: the tape primitives compute their outputs with them, and the
+model's inference path (`model.Seq2SeqModel` with `tape=False`) calls them
+directly, with no `Tensor` objects and no tape. That path skips the per-op
+finiteness check and runs `check_finite` once on each call's output instead.
 """
 
 from __future__ import annotations
@@ -49,10 +55,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """Dense row-major array, optionally participating in the gradient tape.
 
@@ -88,10 +90,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Copy of the value with no tape participation."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -111,11 +109,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+def check_finite(op: str, data: np.ndarray) -> np.ndarray:
+    """`data`, unless it holds a NaN or Inf: then raise `NonFiniteError`."""
+    # single-pass check: any NaN/Inf entry makes the sum non-finite
+    if not math.isfinite(float(np.add.reduce(data, axis=None))):
+        raise NonFiniteError(f"{op}: non-finite values in output")
+    return data
+
+
 def _result(op: str, data: np.ndarray, parents, backward) -> Tensor:
     """Wrap an op output, validating finiteness and recording on the tape."""
-    # single-pass check: any NaN/Inf entry makes the sum non-finite
-    if not math.isfinite(float(data.sum())):
-        raise NonFiniteError(f"{op}: non-finite values in output")
+    check_finite(op, data)
     needs = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -176,6 +180,83 @@ def backward(loss: Tensor):
 
 
 # ---------------------------------------------------------------------------
+# forward kernels
+# ---------------------------------------------------------------------------
+
+def _layer_norm_parts(x, gain, bias, eps):
+    """Layer norm output with the normalized input and inverse std its backward needs."""
+    # add.reduce / d rounds like ndarray.mean (a float64 quotient rounded to
+    # float32 is the float32 quotient), without mean's Python-level overhead
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+class ArrayOps:
+    """Forward kernels of the primitives, on plain arrays.
+
+    The same names and arguments as the tape primitives, so model code runs
+    on either op set. No tape, no shape checks and no finiteness check: the
+    caller checks its final output once with `check_finite`.
+    """
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def scale(a, c):
+        return a * float(c)
+
+    @staticmethod
+    def matmul(a, b):
+        return a @ b
+
+    @staticmethod
+    def affine(x, w, b=None):
+        y = x @ w
+        return y if b is None else y + b
+
+    @staticmethod
+    def relu(a):
+        return np.maximum(a, 0)
+
+    @staticmethod
+    def softmax(a):
+        # ufunc reductions are what ndarray.max/sum run, minus their Python wrappers
+        e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
+        return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+    @staticmethod
+    def layer_norm(x, gain, bias, eps: float = 1e-5):
+        return _layer_norm_parts(x, gain, bias, eps)[0]
+
+    @staticmethod
+    def embedding(table, ids):
+        return table[ids]
+
+    @staticmethod
+    def masked_fill(x, mask, value):
+        return np.where(mask, np.asarray(value, dtype=x.dtype), x)
+
+    @staticmethod
+    def reshape(x, shape):
+        return x.reshape(shape)
+
+    @staticmethod
+    def transpose(x, axes=None):
+        # a contiguous copy: the products downstream see the same layout on both paths
+        return np.ascontiguousarray(x.transpose(axes))
+
+
+# ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
 
@@ -186,7 +267,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(g)
         if b.requires_grad:
             b.accumulate_grad(g)
-    return _result("add", a.data + b.data, (a, b), bwd)
+    return _result("add", ArrayOps.add(a.data, b.data), (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -206,7 +287,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(g * b.data)
         if b.requires_grad:
             b.accumulate_grad(g * a.data)
-    return _result("mul", a.data * b.data, (a, b), bwd)
+    return _result("mul", ArrayOps.mul(a.data, b.data), (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -214,7 +295,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * c)
-    return _result("scale", a.data * c, (a,), bwd)
+    return _result("scale", ArrayOps.scale(a.data, c), (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -235,7 +316,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
             b.accumulate_grad(np.swapaxes(a.data, -1, -2) @ g)
-    return _result("matmul", a.data @ b.data, (a, b), bwd)
+    return _result("matmul", ArrayOps.matmul(a.data, b.data), (a, b), bwd)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -246,9 +327,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"affine: inner dims differ for {x.shape} @ {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise ShapeError(f"affine: bias shape {b.shape} != ({w.shape[1]},)")
-    y = x.data @ w.data
-    if b is not None:
-        y = y + b.data
+    y = ArrayOps.affine(x.data, w.data, None if b is None else b.data)
 
     parents = (x, w) if b is None else (x, w, b)
     def bwd(g):
@@ -265,14 +344,12 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * (a.data > 0))
-    return _result("relu", np.maximum(a.data, 0), (a,), bwd)
+    return _result("relu", ArrayOps.relu(a.data), (a,), bwd)
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, numerically stabilized."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = ArrayOps.softmax(a.data)
 
     def bwd(g):
         if a.requires_grad:
@@ -288,12 +365,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias must be ({d},), got {gain.shape}, {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = _layer_norm_parts(x.data, gain.data, bias.data, eps)
 
     def bwd(g):
         if gain.requires_grad:
@@ -317,7 +389,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError(
             f"embedding: id out of range [0, {table.shape[0]}) in lookup"
         )
-    out = table.data[ids]
+    out = ArrayOps.embedding(table.data, ids)
 
     def bwd(g):
         if table.requires_grad:
@@ -352,7 +424,7 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ShapeError(f"masked_fill: mask shape {mask.shape} != {x.shape}")
-    out = np.where(mask, np.asarray(value, dtype=x.data.dtype), x.data)
+    out = ArrayOps.masked_fill(x.data, mask, value)
 
     def bwd(g):
         if x.requires_grad:
@@ -362,7 +434,7 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     try:
-        out = x.data.reshape(shape)
+        out = ArrayOps.reshape(x.data, shape)
     except ValueError as e:
         raise ShapeError(f"reshape: {x.shape} -> {shape}: {e}") from None
 
@@ -380,7 +452,7 @@ def transpose(x: Tensor, axes: tuple | None = None) -> Tensor:
     def bwd(g):
         if x.requires_grad:
             x.accumulate_grad(np.ascontiguousarray(g.transpose(inv)))
-    return _result("transpose", np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
+    return _result("transpose", ArrayOps.transpose(x.data, axes), (x,), bwd)
 
 
 def tile(x: Tensor, reps: int) -> Tensor:

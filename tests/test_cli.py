@@ -9,7 +9,7 @@ import pytest
 
 from pivotnmt import bpe
 from pivotnmt.checkpoint import Checkpoint
-from pivotnmt.cli import build_parser, experiment_pieces, load_experiment_config, main
+from pivotnmt.cli import CliError, build_parser, experiment_pieces, load_experiment_config, main
 from pivotnmt.model import ModelConfig, init_params
 from pivotnmt.recipes import Settings, Workbench
 from pivotnmt.training import checkpoint_of
@@ -113,6 +113,10 @@ def _config_commands(absent):
         # 4 heads by default
         ("{}", ["settings.model.model_dim=10"]),
         (json.dumps({**TINY_CONFIG, "model": {"layers": 1}}), []),
+        ("{}", ['world.n_val="x"']),
+        ("{}", ["settings.model=5"]),
+        ("{}", ["settings.model=5", "settings.model.layers=1"]),
+        ("[{}]", []),
     ],
 )
 def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
@@ -129,6 +133,20 @@ def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
         assert main(args) == 4, args[0]
         assert "code=invalid-config" in capsys.readouterr().err
     assert not (tmp_path / "absent").exists()
+
+
+def test_config_values_must_have_their_defaults_type():
+    # an int may stand for a float and a list for a tuple; nothing else converts
+    raw = load_experiment_config(
+        None, ["settings.pretrain.initial_lr=1", "world.sentence_length_range=[2, 5]"]
+    )
+    world, settings = experiment_pieces(raw)
+    assert settings.pretrain.initial_lr == 1
+    assert world.sentence_length_range == (2, 5)
+    for item in ("settings.model.layers=true", "settings.model.tied_output_embedding=1",
+                 "settings.beam.beam_size=2.0", "settings.adapter_pooling=3", "world.seed=null"):
+        with pytest.raises(CliError):
+            experiment_pieces(load_experiment_config(None, [item]))
 
 
 def test_set_overrides_only_the_named_keys_of_a_section():

@@ -370,6 +370,19 @@ def test_no_pruning_when_alpha_is_positive(copy_model, monkeypatch):
         assert len(calls) == steps[0]
 
 
+@pytest.mark.parametrize("beam", [2, 4])
+def test_a_sentence_never_keeps_more_than_beam_rows(copy_model, monkeypatch, beam):
+    model, corpus = copy_model
+    calls = count_step_calls(monkeypatch)
+    cfg = BeamConfig(beam_size=beam, length_normalization_alpha=0.6)
+    widest = []
+    for one in source_ids(model, [s for s, _ in corpus.pairs[:8]]):
+        calls.clear()
+        beam_search_batch(model, [one], cfg)
+        widest.append(max(calls))
+    assert max(widest) == beam
+
+
 def test_tiny_max_len_decodes_to_hard_cap():
     vocab_s, vocab_t = word_list_vocab(WORDS_A), word_list_vocab(WORDS_B)
     cfg = ModelConfig(layers=1, model_dim=8, ff_dim=16, heads=2, dropout=0.0, max_len=4)

@@ -7,9 +7,10 @@ import pytest
 
 from pivotnmt import bpe
 from pivotnmt import tensor as T
-from pivotnmt.adapter import make_baseline_adapter
-from pivotnmt.data import Batch
-from pivotnmt.model import ModelConfig, ModelError, Seq2SeqModel, init_params
+from pivotnmt.adapter import collect_pairs, make_baseline_adapter
+from pivotnmt.data import Batch, ParallelCorpus
+from pivotnmt.decoding import BeamConfig, beam_search_batch
+from pivotnmt.model import DecodeState, ModelConfig, ModelError, Seq2SeqModel, init_params
 
 
 def tiny_vocab(prefix, n):
@@ -272,3 +273,168 @@ def test_step_logits_rejects_bad_ids_and_positions_past_max_len():
     with pytest.raises(ModelError):
         model.step_logits(bos, state)
     assert state.length == 4
+
+
+# ---------------------------------------------------------------------------
+# tape-free inference against the tape path
+# ---------------------------------------------------------------------------
+
+def padded_source(model, rng, rows=3, length=6):
+    sv = model.src_vocab
+    src = rng.integers(sv.n_special, len(sv), size=(rows, length))
+    src[0, 4:] = sv.pad_id
+    src[2, 5:] = sv.pad_id
+    return src
+
+
+def tape_heads(model, name, x2d, rows, length):
+    h = model.config.heads
+    y = T.affine(x2d, model.params[f"{name}/w"], model.params[f"{name}/b"])
+    return T.transpose(T.reshape(y, (rows, length, h, model.config.model_dim // h)), (0, 2, 1, 3))
+
+
+def tape_norm(model, name, x):
+    return T.layer_norm(x, model.params[f"{name}/gain"], model.params[f"{name}/bias"])
+
+
+def tape_attend(model, prefix, q, k_t, v, mask):
+    rows, _, lq, dh = q.shape
+    scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(dh))
+    scores = T.masked_fill(scores, mask, -1e9)
+    ctx = T.matmul(T.softmax(scores), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows * lq, model.config.model_dim))
+    return T.affine(ctx, model.params[f"{prefix}/wo/w"], model.params[f"{prefix}/wo/b"])
+
+
+def reference_start_decode(model, memory, src):
+    """The tape path's decode state: cross keys/values projected with tape primitives."""
+    b, ls, d = memory.shape
+    h, layers = model.config.heads, model.config.layers
+    with T.no_grad():
+        mem2d = T.reshape(T.Tensor(memory), (b * ls, d))
+        cross_k = [
+            T.transpose(tape_heads(model, f"decoder/l{i}/cross_attn/wk", mem2d, b, ls), (0, 1, 3, 2)).data
+            for i in range(layers)
+        ]
+        cross_v = [tape_heads(model, f"decoder/l{i}/cross_attn/wv", mem2d, b, ls).data for i in range(layers)]
+    return DecodeState(
+        self_k=[np.zeros((b, h, d // h, 0), dtype=memory.dtype)] * layers,
+        self_v=[np.zeros((b, h, 0, d // h), dtype=memory.dtype)] * layers,
+        cross_k=cross_k,
+        cross_v=cross_v,
+        src_pad=src == model.src_vocab.pad_id,
+    )
+
+
+def reference_step_logits(model, ids, state):
+    """One decoder position per row through the tape primitives: the step
+    that the array path replaces, kept as its oracle."""
+    rows, t = state.rows, state.length
+    d, h = model.config.model_dim, model.config.heads
+    ls = state.src_pad.shape[1]
+    cross_mask = np.broadcast_to(state.src_pad[:, None, None, :], (rows, h, 1, ls))
+    no_mask = np.zeros((rows, h, 1, t + 1), dtype=bool)
+    with T.no_grad():
+        tok = T.embedding(model.params["tgt_embed/tok"], ids[:, 0])
+        pos = T.embedding(model.params["tgt_embed/pos"], np.full(rows, t))
+        x = T.scale(T.add(tok, pos), math.sqrt(d))
+        for i in range(model.config.layers):
+            p = f"decoder/l{i}"
+            y = tape_norm(model, f"{p}/self_norm", x)
+            q = tape_heads(model, f"{p}/self_attn/wq", y, rows, 1)
+            k = T.transpose(tape_heads(model, f"{p}/self_attn/wk", y, rows, 1), (0, 1, 3, 2))
+            v = tape_heads(model, f"{p}/self_attn/wv", y, rows, 1)
+            state.self_k[i] = np.concatenate((state.self_k[i], k.data), axis=3)
+            state.self_v[i] = np.concatenate((state.self_v[i], v.data), axis=2)
+            a = tape_attend(model, f"{p}/self_attn", q, T.Tensor(state.self_k[i]),
+                            T.Tensor(state.self_v[i]), no_mask)
+            x = T.add(x, a)
+            y = tape_norm(model, f"{p}/cross_norm", x)
+            q = tape_heads(model, f"{p}/cross_attn/wq", y, rows, 1)
+            a = tape_attend(model, f"{p}/cross_attn", q, T.Tensor(state.cross_k[i]),
+                            T.Tensor(state.cross_v[i]), cross_mask)
+            x = T.add(x, a)
+            y = tape_norm(model, f"{p}/ff_norm", x)
+            w1 = T.relu(T.affine(y, model.params[f"{p}/ff/w1/w"], model.params[f"{p}/ff/w1/b"]))
+            x = T.add(x, T.affine(w1, model.params[f"{p}/ff/w2/w"], model.params[f"{p}/ff/w2/b"]))
+        logits = model.output_logits(tape_norm(model, "decoder/final_norm", x)).data
+    state.length = t + 1
+    return logits
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("with_adapter", [False, True])
+def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
+    model = tiny_model(dtype=dtype, layers=2)
+    rng = np.random.default_rng(11)
+    tv = model.tgt_vocab
+    src = padded_source(model, rng)
+    tgt = rng.integers(tv.n_special, len(tv), size=(3, 5))
+    tgt[1, -2:] = tv.pad_id
+    adapter = make_baseline_adapter("random", 8, seed=5) if with_adapter else None
+    dec_in = model.decoder_input(tgt)
+
+    with T.no_grad():
+        memory = model.encode(src, adapter=adapter)
+        states = model.decode_states(dec_in, memory, src)
+        logits = model.output_logits(states).data
+    arr_memory = model.encode(src, adapter=adapter, tape=False)
+    arr_states = model.decode_states(dec_in, arr_memory, src, tape=False)
+    arr_logits = model.output_logits(arr_states, tape=False)
+    assert type(arr_memory) is type(arr_states) is type(arr_logits) is np.ndarray
+    assert np.array_equal(arr_memory, memory.data)
+    assert np.array_equal(arr_states, states.data)
+    assert np.array_equal(arr_logits, logits)
+
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    want = logp[np.arange(tgt.size), tgt.ravel()].reshape(tgt.shape)
+    got, mask = model.token_logprobs(Batch(src=src, tgt=tgt, n_pairs=3), adapter=adapter)
+    assert np.array_equal(got, want)
+    assert np.array_equal(mask, tgt != tv.pad_id)
+
+    # incremental decoding: keep, duplicate and drop rows between steps
+    state = model.start_decode(arr_memory, src)
+    ref = reference_start_decode(model, memory.data, src)
+    for a, b in zip(state.cross_k + state.cross_v, ref.cross_k + ref.cross_v):
+        assert np.array_equal(a, b)
+    ids = np.full((3, 1), tv.bos_id)
+    for parents in [None, [0, 0, 2], [2, 0, 1, 1], [3, 1], [1, 0, 0]]:
+        if parents is not None:
+            state.reorder(parents)
+            ref.reorder(parents)
+            ids = rng.integers(tv.n_special, len(tv), size=(len(parents), 1))
+        assert np.array_equal(model.step_logits(ids, state), reference_step_logits(model, ids, ref))
+        for a, b in zip(state.self_k + state.self_v, ref.self_k + ref.self_v):
+            assert np.array_equal(a, b)
+    assert state.length == ref.length == 5
+
+
+@pytest.mark.parametrize(
+    "name, index, pooling_reads_it",
+    [
+        ("encoder/l0/ff/w1/w", (0, 0), True),
+        ("src_embed/tok", (0, 0), True),  # row 0 is padding: only padding positions go bad first
+        ("decoder/l0/ff/w1/w", (0, 0), False),
+        ("decoder/l0/cross_attn/wk/w", (1, 2), False),
+    ],
+)
+def test_non_finite_parameter_raises_on_every_inference_path(name, index, pooling_reads_it):
+    model = tiny_model(dtype="float32")
+    assert model.src_vocab.pad_id == 0
+    rng = np.random.default_rng(12)
+    src = padded_source(model, rng)
+    tgt = rng.integers(model.tgt_vocab.n_special, len(model.tgt_vocab), size=(3, 4))
+    sentences = [model.src_vocab.decode(row[row != model.src_vocab.pad_id]) for row in src]
+    corpus = ParallelCorpus(pairs=[(s, s) for s in sentences], src_lang="src", tgt_lang="piv")
+    model.params[name].data[index] = np.nan
+
+    with pytest.raises(T.NonFiniteError):
+        beam_search_batch(model, [list(row[row != model.src_vocab.pad_id]) for row in src], BeamConfig())
+    with pytest.raises(T.NonFiniteError):
+        model.token_logprobs(Batch(src=src, tgt=tgt, n_pairs=3))
+    if pooling_reads_it:
+        with pytest.raises(T.NonFiniteError):
+            collect_pairs(corpus, model, model)
+    else:  # pooling runs the encoder only
+        assert np.isfinite(collect_pairs(corpus, model, model).s).all()

@@ -123,6 +123,20 @@ def test_checkpoint_magic_validation(tmp_path):
         Checkpoint.load(p)
 
 
+def test_checkpoint_truncated_or_extended_is_rejected(tmp_path):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    small_checkpoint().save(good)
+    raw = good.read_bytes()
+    for cut in range(len(raw)):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(bad)
+    for extra in (b"\x00", b"junk"):
+        bad.write_bytes(raw + extra)
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(bad)
+
+
 def test_checkpoint_content_hash_tracks_params():
     a, b = small_checkpoint(0), small_checkpoint(0)
     assert a.content_hash() == b.content_hash()
