@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import ParallelCorpus
+from .fileio import write_atomic
 
 MAGIC = b"PVADPT01"
 _POOLING_CODE = {"average": 0, "max": 1, "none": 2}
@@ -131,20 +132,16 @@ class AdapterMatrix:
         return self._cache[key]
 
     def save(self, path):
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(
-                struct.pack(
-                    "<IBBHdd",
-                    self.d,
-                    _POOLING_CODE[self.pooling],
-                    _PROVENANCE_CODE[self.provenance],
-                    0,
-                    self.orthogonality_error,
-                    self.fit_residual,
-                )
-            )
-            f.write(np.ascontiguousarray(self.m, dtype="<f8").tobytes())
+        header = struct.pack(
+            "<IBBHdd",
+            self.d,
+            _POOLING_CODE[self.pooling],
+            _PROVENANCE_CODE[self.provenance],
+            0,
+            self.orthogonality_error,
+            self.fit_residual,
+        )
+        write_atomic(path, MAGIC + header + np.ascontiguousarray(self.m, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "AdapterMatrix":

@@ -17,6 +17,8 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .fileio import write_atomic
+
 END_OF_WORD = "</w>"
 
 PAD = "<pad>"
@@ -96,10 +98,8 @@ class BpeModel:
         return toks
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"bpe-v1 {self.merge_count}\n")
-            for a, b in self.merges:
-                f.write(f"{a} {b}\n")
+        lines = [f"bpe-v1 {self.merge_count}"] + [f"{a} {b}" for a, b in self.merges]
+        write_atomic(path, "".join(l + "\n" for l in lines))
 
     @classmethod
     def load(cls, path) -> "BpeModel":
@@ -230,10 +230,8 @@ class Vocabulary:
         return h.hexdigest()
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"# pivotnmt vocab: {self.n_special} specials on lines 0..{self.n_special - 1}\n")
-            for t in self.tokens:
-                f.write(t + "\n")
+        header = f"# pivotnmt vocab: {self.n_special} specials on lines 0..{self.n_special - 1}"
+        write_atomic(path, "".join(l + "\n" for l in [header, *self.tokens]))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import write_atomic
+
 MAGIC = b"PTLCKPT1"
 _DTYPE_TAGS = {"float32": 0, "float64": 1}
 _TAG_DTYPES = {0: "<f4", 1: "<f8"}
@@ -87,9 +89,7 @@ class Checkpoint:
         return out.getvalue()
 
     def save(self, path):
-        data = self._serialize()
-        with open(path, "wb") as f:
-            f.write(data)
+        write_atomic(path, self._serialize())
 
     def content_hash(self) -> str:
         return hashlib.sha256(self._serialize()).hexdigest()

@@ -41,10 +41,12 @@ from .bleu import bleu
 from .checkpoint import Checkpoint, CheckpointError
 from .data import CorpusError, NoiseConfig, ParallelCorpus
 from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
+from .fileio import write_atomic
 from .model import init_params
 from .recipes import GRIDS, RECIPES, Settings, Workbench, run_recipe
 from .toyworld import ToyWorldSpec, write_toy_corpora
 from .training import (
+    TrainingError,
     crosslingual_pretrain,
     finetune,
     model_of,
@@ -96,9 +98,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class RunManifest:
@@ -211,9 +211,7 @@ def _read_token_lines(path) -> list:
 
 def _write_lines(path, lines):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        for l in lines:
-            f.write(l + "\n")
+    write_atomic(path, "".join(l + "\n" for l in lines))
 
 
 def _load_corpus(src, tgt, src_lang="src", tgt_lang="tgt", weight=1.0) -> ParallelCorpus:
@@ -285,16 +283,19 @@ def cmd_train(args):
         model = model_of(parent, sv, tv)
     else:
         model = init_params(settings.model, sv, tv, args.seed)
-    ck = train(
-        model,
-        corpus,
-        val,
-        getattr(settings, args.schedule_section),
-        seed=args.seed,
-        frozen_groups=tuple(args.frozen.split(",")) if args.frozen else (),
-        recipe=args.recipe_name,
-        log_path=args.log,
-    )
+    try:
+        ck = train(
+            model,
+            corpus,
+            val,
+            getattr(settings, args.schedule_section),
+            seed=args.seed,
+            frozen_groups=tuple(args.frozen.split(",")) if args.frozen else (),
+            recipe=args.recipe_name,
+            log_path=args.log,
+        )
+    except TrainingError as e:  # train raises it only for a bad frozen set
+        raise CliError("usage", f"--frozen: {e}") from None
     ck.save(args.out)
     print(f"checkpoint -> {args.out} (best val ppl {ck.schedule_state.get('best_ppl')})")
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bpe import BLANK, Vocabulary
+from .fileio import write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -65,12 +66,8 @@ class ParallelCorpus:
         )
 
     def save(self, src_path, tgt_path):
-        with open(src_path, "w", encoding="utf-8") as fs, open(
-            tgt_path, "w", encoding="utf-8"
-        ) as ft:
-            for s, t in self.pairs:
-                fs.write(" ".join(s) + "\n")
-                ft.write(" ".join(t) + "\n")
+        write_atomic(src_path, "".join(" ".join(s) + "\n" for s, _ in self.pairs))
+        write_atomic(tgt_path, "".join(" ".join(t) + "\n" for _, t in self.pairs))
 
     @classmethod
     def load(cls, src_path, tgt_path, src_lang: str, tgt_lang: str, weight: float = 1.0):

@@ -27,7 +27,7 @@ from typing import Callable
 from . import bpe
 from .adapter import AdapterMatrix, collect_pairs, fit_adapter
 from .bleu import BleuReport, bleu
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, CheckpointError
 from .data import MixedCorpus, NoiseConfig, ParallelCorpus, mix_corpora
 from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
 from .model import ModelConfig, init_params
@@ -151,13 +151,21 @@ class Workbench:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def _cached(self, key: str, build):
-        """Build a stage once; checkpoints also persist in the cache directory."""
+        """Build a stage once; checkpoints also persist in the cache directory.
+
+        An unreadable cache entry counts as a miss: the stage is rebuilt and
+        the entry overwritten.
+        """
         if key in self._mem:
             return self._mem[key]
         path = self.cache_dir / f"{self.config_digest()}--{key}.ckpt" if self.cache_dir else None
+        value = None
         if path is not None and path.exists():
-            value = Checkpoint.load(path)
-        else:
+            try:
+                value = Checkpoint.load(path)
+            except CheckpointError as e:
+                log.warning("rebuilding stage %s: %s", key, e)
+        if value is None:
             value = build()
             if path is not None and isinstance(value, Checkpoint):
                 value.save(path)

@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The substrate for all model math in this package: a small set of primitive
-ops recorded on a dynamic tape, an Adam optimizer with per-parameter frozen
-flags, and a double-precision SVD wrapper used by the representation-space
-alignment solver.
+ops recorded on a dynamic tape, an Adam optimizer, and a double-precision SVD
+wrapper used by the representation-space alignment solver.
+
+`requires_grad` is the one switch for differentiation: ops record tape nodes,
+and Adam updates parameters, only where it is on. A frozen parameter has it
+off, so its part of the graph costs no tape node, backward work or update.
 
 Conventions:
   * no implicit broadcasting -- elementwise ops require identical shapes,
@@ -22,7 +25,6 @@ finiteness check and runs `check_finite` once on each call's output instead.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,21 +40,6 @@ class ShapeError(TensorError):
 
 class NonFiniteError(TensorError):
     """A forward or backward pass produced NaN or Inf."""
-
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the block (inference fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -120,7 +107,7 @@ def check_finite(op: str, data: np.ndarray) -> np.ndarray:
 def _result(op: str, data: np.ndarray, parents, backward) -> Tensor:
     """Wrap an op output, validating finiteness and recording on the tape."""
     check_finite(op, data)
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    needs = any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = needs
@@ -550,11 +537,12 @@ class AdamState:
     second_moment: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, state: AdamState, frozen: set | frozenset = frozenset()):
+def adam_step(params: dict, state: AdamState):
     """One in-place Adam update with bias correction over named parameters.
 
-    Parameters named in `frozen` are skipped entirely: their values and
-    moment buffers stay untouched.
+    A parameter whose `requires_grad` is off is skipped entirely: its value
+    and moment buffers stay untouched. A trainable one with no gradient is
+    updated as if its gradient were zero.
     """
     state.step_count += 1
     t = state.step_count
@@ -562,7 +550,7 @@ def adam_step(params: dict, state: AdamState, frozen: set | frozenset = frozense
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params.items():
-        if name in frozen:
+        if not p.requires_grad:
             continue
         g = p.grad
         if g is None:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import CorpusError, ParallelCorpus
+from .fileio import write_atomic
 
 LANG_PREFIX = {"src": "s", "piv": "p", "tgt": "t"}
 SHARED_PREFIX = "x"
@@ -78,9 +79,7 @@ class ToyWorldSpec:
         return cls(**raw)
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_atomic(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 class ToyWorld:
@@ -176,9 +175,7 @@ def write_toy_corpora(spec: ToyWorldSpec, out_dir) -> dict:
     for name, corpus in corpora.items():
         if name == "mono-piv":
             path = out_dir / "mono-piv.piv"
-            with open(path, "w", encoding="utf-8") as f:
-                for line in corpus:
-                    f.write(" ".join(line) + "\n")
+            write_atomic(path, "".join(" ".join(line) + "\n" for line in corpus))
             manifest["files"][name] = [path.name]
             manifest["sizes"][name] = len(corpus)
             continue
@@ -188,7 +185,5 @@ def write_toy_corpora(spec: ToyWorldSpec, out_dir) -> dict:
         corpus.save(sp, tp)
         manifest["files"][name] = [sp.name, tp.name]
         manifest["sizes"][name] = len(corpus)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return corpora

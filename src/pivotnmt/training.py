@@ -3,11 +3,12 @@
 Covers the direct and multilingual baselines, plain transfer surgery,
 step-wise pre-training with encoder freezing, cross-lingual encoder
 pre-training over a translation+denoising mixture, and fine-tuning with an
-optional fixed adapter. The learning-rate schedule is plateau decay: the lr
-is multiplied by 0.7 whenever validation perplexity has not improved for
-three consecutive checkpoints, and training stops after eight consecutive
-non-improving checkpoints. The best-validation parameters are what a run
-returns.
+optional fixed adapter. Freezing a parameter group means `requires_grad` off
+for the run: the group is never differentiated or updated. The learning-rate
+schedule is plateau decay: the lr is multiplied by 0.7 whenever validation
+perplexity has not improved for three consecutive checkpoints, and training
+stops after eight consecutive non-improving checkpoints. The best-validation
+parameters are what a run returns.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .data import (
     make_batches,
     mix_corpora,
 )
-from .model import ModelConfig, Seq2SeqModel, init_params
+from .model import ModelConfig, ModelError, Seq2SeqModel, init_params
 
 log = logging.getLogger(__name__)
 
@@ -150,11 +151,19 @@ def train(
 ) -> Checkpoint:
     """Run Adam updates with checkpoint-interval validation until decay/stop rules end it.
 
-    Returns the best-validation checkpoint; parameters in frozen groups are
-    bitwise unchanged from the input model. Divergence (non-finite loss)
-    aborts and returns the last good checkpoint.
+    Returns the best-validation checkpoint. The parameters of `frozen_groups`
+    have `requires_grad` off for the run (restored however it ends): no tape
+    nodes, gradients or Adam updates, so they stay bitwise unchanged. A
+    frozen set with an unknown group or nothing left to train raises
+    `TrainingError`. Divergence (non-finite loss) aborts and returns the
+    last good checkpoint.
     """
-    frozen = model.frozen_param_names(frozen_groups)
+    try:
+        frozen_names = model.frozen_param_names(frozen_groups)
+    except ModelError as e:
+        raise TrainingError(str(e)) from None
+    if not any(p.requires_grad for n, p in model.params.items() if n not in frozen_names):
+        raise TrainingError(f"frozen groups {sorted(frozen_groups)} leave nothing to train")
     adam = T.AdamState(learning_rate=schedule.initial_lr)
     tracker = ScheduleTracker(schedule)
     drop_rng = np.random.default_rng([seed, 0xD120])
@@ -173,52 +182,59 @@ def train(
     diverged = False
     last_loss = float("nan")
     epoch = 0
-    while not stop and updates < schedule.max_updates:
-        stream = make_batches(
-            train_corpus,
-            model.src_vocab,
-            model.tgt_vocab,
-            schedule.max_tokens,
-            seed=seed,
-            epoch=epoch,
-        )
-        for batch in stream.batches:
-            model.set_train(True, drop_rng)
-            model.zero_grad()
-            try:
-                loss = model.forward_loss(batch, adapter=adapter)
-                T.backward(loss)
-            except T.NonFiniteError as e:
-                log.warning("%s diverged at step %d: %s", recipe, updates, e)
-                diverged = True
-                stop = True
-                break
-            T.adam_step(model.params, adam, frozen=frozen)
-            last_loss = loss.item()
-            updates += 1
-            if updates % schedule.checkpoint_interval == 0:
-                ppl = validation_perplexity(
-                    model, val_corpus, schedule.max_tokens, adapter=adapter
-                )
-                events = tracker.observe(ppl)
-                emit(updates, last_loss, ppl)
-                if events["improved"]:
-                    best_arrays = model.clone_params()
-                if events["decayed"]:
-                    adam.learning_rate = tracker.lr
-                if events["stop"]:
+    was = {n: model.params[n].requires_grad for n in frozen_names}
+    for n in was:
+        model.params[n].requires_grad = False
+    try:
+        while not stop and updates < schedule.max_updates:
+            stream = make_batches(
+                train_corpus,
+                model.src_vocab,
+                model.tgt_vocab,
+                schedule.max_tokens,
+                seed=seed,
+                epoch=epoch,
+            )
+            for batch in stream.batches:
+                model.set_train(True, drop_rng)
+                model.zero_grad()
+                try:
+                    loss = model.forward_loss(batch, adapter=adapter)
+                    T.backward(loss)
+                except T.NonFiniteError as e:
+                    log.warning("%s diverged at step %d: %s", recipe, updates, e)
+                    diverged = True
                     stop = True
                     break
-            if updates >= schedule.max_updates:
-                break
-        epoch += 1
-    if not diverged and (updates % schedule.checkpoint_interval != 0 or updates == 0):
-        ppl = validation_perplexity(model, val_corpus, schedule.max_tokens, adapter=adapter)
-        if tracker.observe(ppl)["improved"]:
-            best_arrays = model.clone_params()
-        emit(updates, last_loss if updates else float("nan"), ppl)
-    model.set_train(False)
-    model.load_param_arrays(best_arrays)
+                T.adam_step(model.params, adam)
+                last_loss = loss.item()
+                updates += 1
+                if updates % schedule.checkpoint_interval == 0:
+                    ppl = validation_perplexity(
+                        model, val_corpus, schedule.max_tokens, adapter=adapter
+                    )
+                    events = tracker.observe(ppl)
+                    emit(updates, last_loss, ppl)
+                    if events["improved"]:
+                        best_arrays = model.clone_params()
+                    if events["decayed"]:
+                        adam.learning_rate = tracker.lr
+                    if events["stop"]:
+                        stop = True
+                        break
+                if updates >= schedule.max_updates:
+                    break
+            epoch += 1
+        if not diverged and (updates % schedule.checkpoint_interval != 0 or updates == 0):
+            ppl = validation_perplexity(model, val_corpus, schedule.max_tokens, adapter=adapter)
+            if tracker.observe(ppl)["improved"]:
+                best_arrays = model.clone_params()
+            emit(updates, last_loss if updates else float("nan"), ppl)
+        model.set_train(False)
+        model.load_param_arrays(best_arrays)
+    finally:
+        for n, flag in was.items():
+            model.params[n].requires_grad = flag
 
     if log_path is not None:
         with open(log_path, "a", encoding="utf-8") as f:

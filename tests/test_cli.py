@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from pivotnmt import bpe
+from pivotnmt import bpe, recipes
 from pivotnmt.checkpoint import Checkpoint
 from pivotnmt.cli import CliError, build_parser, experiment_pieces, load_experiment_config, main
 from pivotnmt.model import ModelConfig, init_params
@@ -66,6 +66,46 @@ def test_recipe_rerun_skips_a_complete_run(recipe_out, capsys):
     assert main(["recipe", "--name", "direct", "--config", str(config), "--out", str(out)]) == 0
     assert "already complete; skipping" in capsys.readouterr().out
     assert (out / "direct--seed1" / "report.json").read_text(encoding="utf-8") == report
+
+
+def test_an_interrupted_recipe_reuses_its_finished_stages(recipe_out, tmp_path, monkeypatch):
+    _, config = recipe_out
+    real_train = recipes.train
+    trained = []
+
+    def interrupted_train(model, *args, **kwargs):
+        trained.append(kwargs["recipe"])
+        if len(trained) == 2:  # the second stage is killed after five updates
+            left = iter(range(5))
+            forward_loss = model.forward_loss
+
+            def dying_forward_loss(batch, adapter=None):
+                if next(left, None) is None:
+                    raise KeyboardInterrupt
+                return forward_loss(batch, adapter=adapter)
+
+            model.forward_loss = dying_forward_loss
+        return real_train(model, *args, **kwargs)
+
+    monkeypatch.setattr(recipes, "train", interrupted_train)
+    out = tmp_path / "runs"
+    argv = ["recipe", "--name", "plain", "--config", str(config), "--out", str(out)]
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert trained == ["pretrain-src-piv-sep", "pretrain-piv-tgt-sep"]
+    assert [p.name.split("--", 1)[1] for p in (out / "_stages").iterdir()] == ["sep-src-piv.ckpt"]
+    assert not (out / "plain--seed1" / "manifest.json").exists()
+
+    trained.clear()
+    assert main(argv) == 0
+    assert trained == ["pretrain-piv-tgt-sep"]  # the finished stage is loaded, not retrained
+    monkeypatch.undo()
+    clean = tmp_path / "clean"
+    assert main(["recipe", "--name", "plain", "--config", str(config), "--out", str(clean)]) == 0
+    reports = [json.loads((root / "plain--seed1" / "report.json").read_text(encoding="utf-8"))
+               for root in (out, clean)]
+    for key in ("checkpoint_hash", "test_bleu", "val_bleu"):
+        assert reports[0][key] == reports[1][key]
 
 
 def test_report_on_a_tampered_run_exits_hash_mismatch(recipe_out, tmp_path, capsys):
@@ -241,6 +281,15 @@ def test_stage_commands_train_the_workbench_stages(staged, tmp_path):
         "--autoenc", path("joint", "src-piv.piv"), "--out", str(out),
     ]) == 0
     assert Checkpoint.load(out).content_hash() == wb.ckpt_xenc().content_hash()
+
+
+@pytest.mark.parametrize("frozen", ["bogus", "encoder,src_embed,tgt_embed,decoder,output_proj"])
+def test_train_frozen_unknown_or_all_groups_is_a_usage_error(staged, tmp_path, capsys, frozen):
+    out = tmp_path / "out" / "never.ckpt"
+    out.parent.mkdir()
+    assert _train_src_piv(staged, out, "--frozen", frozen, "--log", str(out.parent / "log")) == 2
+    assert "code=usage" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
 
 
 def test_finetune_schedules_follow_settings_finetune(staged, tmp_path):

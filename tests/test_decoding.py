@@ -219,8 +219,7 @@ def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
     for r, i in enumerate(live_idx):
         src[r, : len(src_id_lists[i])] = src_id_lists[i]
     model.set_train(False)
-    with T.no_grad():
-        memory = model.encode(src, adapter=adapter).data
+    memory = model.encode(src, adapter=adapter).data
 
     k = cfg.beam_size
     alpha = cfg.length_normalization_alpha
@@ -244,9 +243,8 @@ def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
                 prefix[j, 1:] = h.ids
         mem_rows = T.Tensor(memory[[r for r, _ in rows]])
         src_rows = src[[r for r, _ in rows]]
-        with T.no_grad():
-            states = model.decode_states(prefix, mem_rows, src_rows)
-            logits = model.output_logits(states).data.reshape(len(rows), step + 1, -1)[:, -1, :]
+        states = model.decode_states(prefix, mem_rows, src_rows)
+        logits = model.output_logits(states).data.reshape(len(rows), step + 1, -1)[:, -1, :]
         logp = decoding._log_softmax(logits.astype(np.float64))
 
         by_sentence = {}

@@ -197,23 +197,52 @@ def test_full_loss_gradient_matches_finite_differences():
     full_model_grad_check(model, batch)
 
 
+def freeze(model, groups) -> set:
+    names = model.frozen_param_names(groups)
+    for n in names:
+        model.params[n].requires_grad = False
+    return names
+
+
 def test_frozen_group_receives_no_update():
     model = tiny_model(dtype="float32")
     rng = np.random.default_rng(4)
     batch = random_batch(model, rng)
-    frozen = model.frozen_param_names({"encoder", "src_embed"})
-    before = {n: model.params[n].data.tobytes() for n in frozen}
     state = T.AdamState(learning_rate=1e-2)
+    # one step with every group trainable, so the encoder has moment buffers
+    T.backward(model.forward_loss(batch))
+    T.adam_step(model.params, state)
+    frozen = freeze(model, {"encoder", "src_embed"})
+
+    def snapshot(n):
+        return [a.tobytes() for a in (model.params[n].data, state.first_moment[n], state.second_moment[n])]
+
+    before = {n: snapshot(n) for n in frozen}
+    decoder_before = {n: model.params[n].data.copy() for n in model.param_names("decoder")}
     for _ in range(3):
         model.zero_grad()
         T.backward(model.forward_loss(batch))
-        T.adam_step(model.params, state, frozen=frozen)
+        T.adam_step(model.params, state)
     for n in frozen:
-        assert model.params[n].data.tobytes() == before[n]
-    moved = [
-        n for n in model.param_names("decoder") if model.params[n].grad is not None
-    ]
-    assert moved
+        assert snapshot(n) == before[n]
+        assert model.params[n].grad is None
+    assert all(model.params[n].grad is not None for n in decoder_before)
+    assert all(not np.array_equal(model.params[n].data, a) for n, a in decoder_before.items())
+
+
+def test_frozen_encoder_leaves_the_tape():
+    model = tiny_model(dtype="float32")
+    batch = random_batch(model, np.random.default_rng(5))
+    frozen = freeze(model, {"encoder", "src_embed"})
+    memory = model.encode(batch.src)
+    assert not memory.requires_grad and memory._backward is None
+    loss = model.forward_loss(batch)
+    T.backward(loss)
+    assert all(model.params[n].grad is None for n in frozen)
+    trainable = set(model.params) - frozen
+    # the output projection is tied to tgt_embed/tok by default, so every
+    # trainable parameter takes part in the loss
+    assert all(model.params[n].grad is not None for n in trainable)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +255,8 @@ STEP_RTOL, STEP_ATOL = 1e-4, 1e-5
 
 def full_prefix_logits(model, prefix, memory, src):
     """Logits of each row's last position, re-running the decoder over the whole prefix."""
-    with T.no_grad():
-        states = model.decode_states(prefix, T.Tensor(memory), src)
-        logits = model.output_logits(states).data
+    states = model.decode_states(prefix, T.Tensor(memory), src)
+    logits = model.output_logits(states).data
     return logits.reshape(prefix.shape[0], prefix.shape[1], -1)[:, -1, :]
 
 
@@ -310,13 +338,12 @@ def reference_start_decode(model, memory, src):
     """The tape path's decode state: cross keys/values projected with tape primitives."""
     b, ls, d = memory.shape
     h, layers = model.config.heads, model.config.layers
-    with T.no_grad():
-        mem2d = T.reshape(T.Tensor(memory), (b * ls, d))
-        cross_k = [
-            T.transpose(tape_heads(model, f"decoder/l{i}/cross_attn/wk", mem2d, b, ls), (0, 1, 3, 2)).data
-            for i in range(layers)
-        ]
-        cross_v = [tape_heads(model, f"decoder/l{i}/cross_attn/wv", mem2d, b, ls).data for i in range(layers)]
+    mem2d = T.reshape(T.Tensor(memory), (b * ls, d))
+    cross_k = [
+        T.transpose(tape_heads(model, f"decoder/l{i}/cross_attn/wk", mem2d, b, ls), (0, 1, 3, 2)).data
+        for i in range(layers)
+    ]
+    cross_v = [tape_heads(model, f"decoder/l{i}/cross_attn/wv", mem2d, b, ls).data for i in range(layers)]
     return DecodeState(
         self_k=[np.zeros((b, h, d // h, 0), dtype=memory.dtype)] * layers,
         self_v=[np.zeros((b, h, 0, d // h), dtype=memory.dtype)] * layers,
@@ -334,30 +361,29 @@ def reference_step_logits(model, ids, state):
     ls = state.src_pad.shape[1]
     cross_mask = np.broadcast_to(state.src_pad[:, None, None, :], (rows, h, 1, ls))
     no_mask = np.zeros((rows, h, 1, t + 1), dtype=bool)
-    with T.no_grad():
-        tok = T.embedding(model.params["tgt_embed/tok"], ids[:, 0])
-        pos = T.embedding(model.params["tgt_embed/pos"], np.full(rows, t))
-        x = T.scale(T.add(tok, pos), math.sqrt(d))
-        for i in range(model.config.layers):
-            p = f"decoder/l{i}"
-            y = tape_norm(model, f"{p}/self_norm", x)
-            q = tape_heads(model, f"{p}/self_attn/wq", y, rows, 1)
-            k = T.transpose(tape_heads(model, f"{p}/self_attn/wk", y, rows, 1), (0, 1, 3, 2))
-            v = tape_heads(model, f"{p}/self_attn/wv", y, rows, 1)
-            state.self_k[i] = np.concatenate((state.self_k[i], k.data), axis=3)
-            state.self_v[i] = np.concatenate((state.self_v[i], v.data), axis=2)
-            a = tape_attend(model, f"{p}/self_attn", q, T.Tensor(state.self_k[i]),
-                            T.Tensor(state.self_v[i]), no_mask)
-            x = T.add(x, a)
-            y = tape_norm(model, f"{p}/cross_norm", x)
-            q = tape_heads(model, f"{p}/cross_attn/wq", y, rows, 1)
-            a = tape_attend(model, f"{p}/cross_attn", q, T.Tensor(state.cross_k[i]),
-                            T.Tensor(state.cross_v[i]), cross_mask)
-            x = T.add(x, a)
-            y = tape_norm(model, f"{p}/ff_norm", x)
-            w1 = T.relu(T.affine(y, model.params[f"{p}/ff/w1/w"], model.params[f"{p}/ff/w1/b"]))
-            x = T.add(x, T.affine(w1, model.params[f"{p}/ff/w2/w"], model.params[f"{p}/ff/w2/b"]))
-        logits = model.output_logits(tape_norm(model, "decoder/final_norm", x)).data
+    tok = T.embedding(model.params["tgt_embed/tok"], ids[:, 0])
+    pos = T.embedding(model.params["tgt_embed/pos"], np.full(rows, t))
+    x = T.scale(T.add(tok, pos), math.sqrt(d))
+    for i in range(model.config.layers):
+        p = f"decoder/l{i}"
+        y = tape_norm(model, f"{p}/self_norm", x)
+        q = tape_heads(model, f"{p}/self_attn/wq", y, rows, 1)
+        k = T.transpose(tape_heads(model, f"{p}/self_attn/wk", y, rows, 1), (0, 1, 3, 2))
+        v = tape_heads(model, f"{p}/self_attn/wv", y, rows, 1)
+        state.self_k[i] = np.concatenate((state.self_k[i], k.data), axis=3)
+        state.self_v[i] = np.concatenate((state.self_v[i], v.data), axis=2)
+        a = tape_attend(model, f"{p}/self_attn", q, T.Tensor(state.self_k[i]),
+                        T.Tensor(state.self_v[i]), no_mask)
+        x = T.add(x, a)
+        y = tape_norm(model, f"{p}/cross_norm", x)
+        q = tape_heads(model, f"{p}/cross_attn/wq", y, rows, 1)
+        a = tape_attend(model, f"{p}/cross_attn", q, T.Tensor(state.cross_k[i]),
+                        T.Tensor(state.cross_v[i]), cross_mask)
+        x = T.add(x, a)
+        y = tape_norm(model, f"{p}/ff_norm", x)
+        w1 = T.relu(T.affine(y, model.params[f"{p}/ff/w1/w"], model.params[f"{p}/ff/w1/b"]))
+        x = T.add(x, T.affine(w1, model.params[f"{p}/ff/w2/w"], model.params[f"{p}/ff/w2/b"]))
+    logits = model.output_logits(tape_norm(model, "decoder/final_norm", x)).data
     state.length = t + 1
     return logits
 
@@ -374,10 +400,9 @@ def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
     adapter = make_baseline_adapter("random", 8, seed=5) if with_adapter else None
     dec_in = model.decoder_input(tgt)
 
-    with T.no_grad():
-        memory = model.encode(src, adapter=adapter)
-        states = model.decode_states(dec_in, memory, src)
-        logits = model.output_logits(states).data
+    memory = model.encode(src, adapter=adapter)
+    states = model.decode_states(dec_in, memory, src)
+    logits = model.output_logits(states).data
     arr_memory = model.encode(src, adapter=adapter, tape=False)
     arr_states = model.decode_states(dec_in, arr_memory, src, tape=False)
     arr_logits = model.output_logits(arr_states, tape=False)

@@ -1,10 +1,13 @@
 """Every named recipe end to end on one tiny world, and the stage cache."""
 
+import logging
 import re
+import shutil
 
 import pytest
 
 from pivotnmt import recipes
+from pivotnmt.checkpoint import MAGIC, Checkpoint
 from pivotnmt.decoding import BeamConfig
 from pivotnmt.model import ModelConfig
 from pivotnmt.recipes import GRIDS, RECIPES, RecipeError, Settings, Workbench, run_recipe
@@ -115,3 +118,20 @@ def test_a_second_workbench_reloads_stages_from_disk(wb, run, cache_dir, monkeyp
     monkeypatch.setattr(recipes, "train", no_training)
     again = Workbench(TINY_WORLD, tiny_settings(), 3, cache_dir=cache_dir)
     assert again.ckpt_sep("src-piv").content_hash() == wb.ckpt_sep("src-piv").content_hash()
+
+
+def test_a_torn_cache_entry_is_rebuilt(wb, run, cache_dir, tmp_path, caplog):
+    run("plain")  # trains the separate parents and saves them
+    clean = wb.ckpt_sep("src-piv").content_hash()
+    whole = next(cache_dir.glob("*--sep-src-piv.ckpt")).read_bytes()
+    for n, torn in enumerate((MAGIC + b"\x10", whole[:-9])):
+        stages = tmp_path / str(n)
+        shutil.copytree(cache_dir, stages)
+        entry = next(stages.glob("*--sep-src-piv.ckpt"))
+        entry.write_bytes(torn)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="pivotnmt.recipes"):
+            rebuilt = Workbench(TINY_WORLD, tiny_settings(), 3, cache_dir=stages).ckpt_sep("src-piv")
+        assert "rebuilding stage sep-src-piv" in caplog.text
+        assert rebuilt.content_hash() == clean
+        assert Checkpoint.load(entry).content_hash() == clean  # the entry was overwritten

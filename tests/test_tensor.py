@@ -128,13 +128,6 @@ def test_detached_leaf_gets_no_grad():
     assert y.grad is not None
 
 
-def test_no_grad_disables_tape():
-    x = T.Tensor([1.0, 2.0], requires_grad=True)
-    with T.no_grad():
-        y = T.mul(x, x)
-    assert not y.requires_grad
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_matmul_affine(seed):
     rng = np.random.default_rng(seed)
@@ -236,13 +229,41 @@ def test_adam_single_step_hand_value():
 
 
 def test_adam_frozen_param_bitwise_unchanged():
+    # requires_grad off is what freezes: a stray gradient and existing
+    # moments are ignored, while the trainable neighbour moves
     p = T.Tensor(np.array([0.5, -0.5], dtype=np.float32), requires_grad=True)
-    raw = p.data.tobytes()
-    p.grad = np.ones_like(p.data)
+    q = T.Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
     state = T.AdamState(learning_rate=0.1)
-    T.adam_step({"p": p}, state, frozen={"p"})
-    assert p.data.tobytes() == raw
-    assert "p" not in state.first_moment
+    p.grad = q.grad = np.ones(2, dtype=np.float32)
+    T.adam_step({"p": p, "q": q}, state)
+    p.requires_grad = False
+    before = [a.tobytes() for a in (p.data, state.first_moment["p"], state.second_moment["p"])]
+    q_before = q.data.copy()
+    for _ in range(3):
+        p.grad = q.grad = np.ones(2, dtype=np.float32)
+        T.adam_step({"p": p, "q": q}, state)
+    after = [a.tobytes() for a in (p.data, state.first_moment["p"], state.second_moment["p"])]
+    assert after == before
+    assert not np.array_equal(q.data, q_before)
+    fresh = T.Tensor(np.array([0.5], dtype=np.float32))  # never trainable
+    fresh.grad = np.ones(1, dtype=np.float32)
+    T.adam_step({"fresh": fresh}, state)
+    assert fresh.data[0] == np.float32(0.5)
+    assert "fresh" not in state.first_moment
+
+
+def test_adam_trainable_param_without_grad_takes_zero_grad_update():
+    p = T.Tensor(np.array([0.5, -0.5]), requires_grad=True)
+    q = T.Tensor(np.array([0.5, -0.5]), requires_grad=True)
+    sp, sq = T.AdamState(learning_rate=0.1), T.AdamState(learning_rate=0.1)
+    p.grad = q.grad = np.array([1.0, -1.0])
+    T.adam_step({"p": p}, sp)
+    T.adam_step({"q": q}, sq)
+    p.grad, q.grad = None, np.zeros(2)
+    T.adam_step({"p": p}, sp)
+    T.adam_step({"q": q}, sq)
+    assert p.data.tobytes() == q.data.tobytes()
+    assert sp.first_moment["p"].tobytes() == sq.first_moment["q"].tobytes()
 
 
 def test_adam_shape_mismatch():

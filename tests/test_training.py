@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotnmt import bpe
+from pivotnmt import bpe, fileio, training
+from pivotnmt import tensor as T
 from pivotnmt.adapter import make_baseline_adapter
 from pivotnmt.checkpoint import Checkpoint, CheckpointError
-from pivotnmt.data import ParallelCorpus
-from pivotnmt.model import ModelConfig, init_params
+from pivotnmt.data import ParallelCorpus, make_batches
+from pivotnmt.model import ModelConfig, ModelError, init_params
 from pivotnmt.training import (
     ScheduleTracker,
     TrainSchedule,
@@ -137,6 +138,21 @@ def test_checkpoint_truncated_or_extended_is_rejected(tmp_path):
             Checkpoint.load(bad)
 
 
+def test_checkpoint_save_that_dies_before_the_rename_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    small_checkpoint(0).save(path)
+    old = path.read_bytes()
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fileio.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        small_checkpoint(1).save(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+
 def test_checkpoint_content_hash_tracks_params():
     a, b = small_checkpoint(0), small_checkpoint(0)
     assert a.content_hash() == b.content_hash()
@@ -196,6 +212,55 @@ def test_train_returns_checkpoint_and_freezes_groups():
         assert ck.params[n].tobytes() == raw
     assert ck.provenance["frozen_groups"] == ["encoder", "src_embed"]
     assert ck.schedule_state["best_ppl"] is not None
+
+
+def requires_grad_flags(model) -> dict:
+    return {n: p.requires_grad for n, p in model.params.items()}
+
+
+def test_train_restores_requires_grad_on_return_divergence_and_error():
+    corpus = word_corpus(WORDS_S, WORDS_P, 30, seed=7)
+    val = word_corpus(WORDS_S, WORDS_P, 8, seed=8)
+    sv = vocab_of([s for s, _ in corpus.pairs])
+    tv = vocab_of([t for _, t in corpus.pairs])
+    model = init_params(tiny_cfg(dtype="float32"), sv, tv, seed=0)
+    # a parameter already off stays off, in a frozen group and outside one
+    model.params["encoder/final_norm/gain"].requires_grad = False
+    model.params["decoder/final_norm/bias"].requires_grad = False
+    flags = requires_grad_flags(model)
+    frozen = ("encoder", "src_embed")
+
+    ck = train(model, corpus, val, quick_schedule(max_updates=20), seed=0, frozen_groups=frozen)
+    assert not ck.provenance["diverged"]
+    assert requires_grad_flags(model) == flags
+
+    ck = train(
+        model, corpus, val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0,
+        frozen_groups=frozen,
+    )
+    assert ck.provenance["diverged"]
+    assert requires_grad_flags(model) == flags
+
+    # one pair is longer than max_len: the forward pass of its batch raises
+    too_long = ParallelCorpus(
+        pairs=corpus.pairs + [(["s1"] * 20, ["p1"] * 3)], src_lang="src", tgt_lang="piv"
+    )
+    with pytest.raises(ModelError, match="max_len"):
+        train(model, too_long, val, quick_schedule(), seed=0, frozen_groups=frozen)
+    assert requires_grad_flags(model) == flags
+
+
+def test_train_rejects_a_frozen_set_that_is_unknown_or_leaves_nothing():
+    corpus = word_corpus(WORDS_S, WORDS_P, 10, seed=7)
+    sv = vocab_of([s for s, _ in corpus.pairs])
+    tv = vocab_of([t for _, t in corpus.pairs])
+    model = init_params(tiny_cfg(), sv, tv, seed=0)
+    before = model.clone_params()
+    for groups in (("bogus",), ("encoder", "src_embed", "tgt_embed", "decoder")):
+        with pytest.raises(TrainingError):
+            train(model, corpus, corpus, quick_schedule(), seed=0, frozen_groups=groups)
+        assert all(p.requires_grad for p in model.params.values())
+    assert all(np.array_equal(model.params[n].data, a) for n, a in before.items())
 
 
 def test_train_reproducible_same_seed():
@@ -336,6 +401,114 @@ def test_stepwise_stage2_keeps_encoder_hash_and_checks_coverage():
             quick_schedule(max_updates=10),
             seed=0,
         )
+
+
+# The freezing mechanism `train` replaced, kept as its oracle: every group is
+# recorded on the tape and differentiated, and Adam skips the frozen names.
+
+def reference_adam_step(params, state, frozen):
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in params.items():
+        if name in frozen:
+            continue
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if name not in state.first_moment:
+            state.first_moment[name] = np.zeros_like(p.data)
+            state.second_moment[name] = np.zeros_like(p.data)
+        m, nu = state.first_moment[name], state.second_moment[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        nu *= b2
+        nu += (1.0 - b2) * (g * g)
+        update = np.sqrt(nu / c2)
+        update += state.epsilon
+        np.divide(m, update, out=update)
+        update *= state.learning_rate / c1
+        p.data -= update.astype(p.data.dtype, copy=False)
+
+
+def reference_train(model, train_corpus, val_corpus, schedule, seed, frozen_groups=(),
+                    recipe="train", parents=None):
+    frozen = model.frozen_param_names(frozen_groups)
+    adam = T.AdamState(learning_rate=schedule.initial_lr)
+    tracker = ScheduleTracker(schedule)
+    drop_rng = np.random.default_rng([seed, 0xD120])
+    best = model.clone_params()
+    updates, epoch, stop = 0, 0, False
+    while not stop and updates < schedule.max_updates:
+        stream = make_batches(
+            train_corpus, model.src_vocab, model.tgt_vocab, schedule.max_tokens, seed=seed, epoch=epoch
+        )
+        for batch in stream.batches:
+            model.set_train(True, drop_rng)
+            model.zero_grad()
+            T.backward(model.forward_loss(batch))
+            assert all(model.params[n].grad is not None for n in frozen)  # full tape
+            reference_adam_step(model.params, adam, frozen)
+            updates += 1
+            if updates % schedule.checkpoint_interval == 0:
+                events = tracker.observe(
+                    validation_perplexity(model, val_corpus, schedule.max_tokens)
+                )
+                if events["improved"]:
+                    best = model.clone_params()
+                if events["decayed"]:
+                    adam.learning_rate = tracker.lr
+                if events["stop"]:
+                    stop = True
+                    break
+            if updates >= schedule.max_updates:
+                break
+        epoch += 1
+    if updates % schedule.checkpoint_interval != 0:
+        if tracker.observe(validation_perplexity(model, val_corpus, schedule.max_tokens))["improved"]:
+            best = model.clone_params()
+    model.set_train(False)
+    model.load_param_arrays(best)
+    provenance = {
+        "recipe": recipe,
+        "seed": seed,
+        "frozen_groups": sorted(frozen_groups),
+        "parents": parents or [],
+        "updates": updates,
+        "diverged": False,
+        "adapter": None,
+    }
+    return checkpoint_of(model, provenance, tracker.state())
+
+
+def test_stepwise_stage2_equals_the_full_tape_reference_bitwise(monkeypatch):
+    src_piv = word_corpus(WORDS_S, WORDS_P, 30, seed=0)
+    src_piv_val = word_corpus(WORDS_S, WORDS_P, 8, seed=1)
+    piv_tgt = word_corpus(WORDS_P, WORDS_T, 40, seed=2, src_lang="piv", tgt_lang="tgt")
+    piv_tgt_val = word_corpus(WORDS_P, WORDS_T, 8, seed=3, src_lang="piv", tgt_lang="tgt")
+    joint_vocab = vocab_of([[w] for w in WORDS_S + WORDS_P])
+    piv_vocab = vocab_of([t for _, t in src_piv.pairs])
+    tgt_vocab = vocab_of([t for _, t in piv_tgt.pairs])
+    cfg = tiny_cfg(dropout=0.1, layers=2, dtype="float32")
+    stage1_model = init_params(cfg, joint_vocab, piv_vocab, seed=0)
+    stage1 = train(stage1_model, src_piv, src_piv_val, quick_schedule(max_updates=20), seed=0)
+    # three checkpoint intervals of stage 2, the last one ending the run
+    schedule = quick_schedule(max_updates=60)
+
+    def stage2():
+        return stepwise_pretrain(
+            cfg, joint_vocab, piv_vocab, tgt_vocab, (src_piv, src_piv_val),
+            (piv_tgt, piv_tgt_val), schedule, seed=0, stage1_ckpt=stage1,
+        )
+
+    got = stage2()
+    monkeypatch.setattr(training, "train", reference_train)
+    want = stage2()
+    assert got.provenance["updates"] == want.provenance["updates"] == 60
+    assert got.schedule_state == want.schedule_state
+    for n in want.params:
+        assert got.params[n].tobytes() == want.params[n].tobytes(), n
+    assert got.content_hash() == want.content_hash()
+    assert got.group_hash("encoder") == stage1.group_hash("encoder")
 
 
 def test_finetune_rejects_empty_corpus_and_guards_adapter():
