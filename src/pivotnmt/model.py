@@ -12,7 +12,11 @@ output, after the final encoder norm, as the last step before cross-attention.
 The layer sequence is written once, in helpers that take an op set: the
 tape module `tensor` (Tensors recorded for backward, every op checked for
 NaN/Inf) or `tensor.ArrayOps` (plain arrays, the same kernels, no tape).
-Training runs on the tape. Inference runs on arrays: `encode`,
+Each sublayer is one fused primitive (`embed`, `heads`, `attention`,
+`feed_forward`, `residual`) on a 2-D residual stream, (sentences * positions, d).
+Training runs on the tape, but a frozen encoder (no `src_embed`/`encoder`
+parameter requires a gradient, as in step-wise stage 2) runs on arrays and
+enters the tape as a constant. Inference runs on arrays: `encode`,
 `decode_states` and `output_logits` with `tape=False`, and through them
 `token_logprobs`, `start_decode` and `step_logits`. Each array call checks
 its output once for NaN/Inf (the encoder memory, padding positions included,
@@ -174,6 +178,7 @@ def init_params(
 
 
 PARAM_GROUPS = ("src_embed", "encoder", "tgt_embed", "decoder", "output_proj")
+ENCODER_SIDE_GROUPS = ("src_embed", "encoder")
 
 
 def group_of(param_name: str) -> str:
@@ -247,14 +252,15 @@ class Seq2SeqModel:
         # read at call time: surgery and checkpoint loading replace `.data`
         return self._leaf(ops, self.params[name])
 
-    def _dropout(self, ops, x):
+    def _keep(self, shape):
+        """Dropout keep-mask for an activation of `shape` (entries 0 or
+        1/(1-p)), or None when dropout is off."""
         p = self.config.dropout
         if not self._train_mode or p <= 0.0:
-            return x
-        draw = self._rng.random(x.shape, dtype=np.float32)
-        mask = (draw >= p).astype(x.dtype)
-        mask *= 1.0 / (1.0 - p)
-        return ops.mul(x, self._leaf(ops, T.Tensor(mask, dtype=x.dtype)))
+            return None
+        keep = (self._rng.random(shape, dtype=np.float32) >= p).astype(self.config.np_dtype())
+        keep *= 1.0 / (1.0 - p)
+        return keep
 
     def _embed(self, ops, ids: np.ndarray, side: str, start: int = 0):
         """Scaled token plus position embeddings of ids (b, length) at positions start, ..."""
@@ -263,57 +269,69 @@ class Seq2SeqModel:
             raise ModelError(
                 f"sequence length {start + length} exceeds max_len {self.config.max_len}"
             )
-        tok = ops.embedding(self._p(ops, f"{side}/tok"), ids)
-        pos_ids = np.broadcast_to(np.arange(start, start + length), (b, length))
-        pos = ops.embedding(self._p(ops, f"{side}/pos"), pos_ids)
-        x = ops.scale(ops.add(tok, pos), math.sqrt(self.config.model_dim))
-        return self._dropout(ops, x)
+        d = self.config.model_dim
+        tok, pos = self._p(ops, f"{side}/tok"), self._p(ops, f"{side}/pos")
+        return ops.embed(tok, pos, ids, start, math.sqrt(d), self._keep((b * length, d)))
 
-    def _linear(self, ops, name, x2d):
-        return ops.affine(x2d, self._p(ops, f"{name}/w"), self._p(ops, f"{name}/b"))
+    def _heads(self, ops, name, x, rows, keys=False):
+        """Rows x projected with `name`, split into heads (`T.heads`)."""
+        w, bias = self._p(ops, f"{name}/w"), self._p(ops, f"{name}/b")
+        return ops.heads(x, w, bias, rows, self.config.heads, keys)
 
-    def _heads(self, ops, prefix, proj, x2d, b, length):
-        """Project (b * length, d) rows with {prefix}/{proj}; split -> (b, h, length, dh)."""
-        h = self.config.heads
-        y = self._linear(ops, f"{prefix}/{proj}", x2d)
-        return ops.transpose(ops.reshape(y, (b, length, h, self.config.model_dim // h)), (0, 2, 1, 3))
-
-    def _kv(self, ops, prefix, x2d, b, length):
-        """Keys (b, h, dh, length), transposed for the score product, and values (b, h, length, dh)."""
-        k = self._heads(ops, prefix, "wk", x2d, b, length)
-        return ops.transpose(k, (0, 1, 3, 2)), self._heads(ops, prefix, "wv", x2d, b, length)
+    def _kv(self, ops, prefix, x, rows):
+        """Keys (rows, h, dh, length), transposed for the score product, and values (rows, h, length, dh)."""
+        return self._heads(ops, f"{prefix}/wk", x, rows, keys=True), self._heads(ops, f"{prefix}/wv", x, rows)
 
     def _attend(self, ops, prefix, q, k_t, v, mask):
-        """Attention of q (b, h, lq, dh) over keys k_t (b, h, dh, lkv) and values
-        v (b, h, lkv, dh), then the output projection -> (b * lq, d).
-
-        mask is a bool (b, h, lq, lkv) array, True = blocked, or None.
-        """
-        b, _, lq, dh = q.shape
-        scores = ops.scale(ops.matmul(q, k_t), 1.0 / math.sqrt(dh))
-        if mask is not None:
-            scores = ops.masked_fill(scores, mask, -1e9)
-        ctx = ops.matmul(ops.softmax(scores), v)
-        ctx = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b * lq, self.config.model_dim))
-        return self._linear(ops, f"{prefix}/wo", ctx)
+        """Attention of q over keys k_t and values v, then the output projection."""
+        ctx = ops.attention(q, k_t, v, mask)
+        return ops.affine(ctx, self._p(ops, f"{prefix}/wo/w"), self._p(ops, f"{prefix}/wo/b"))
 
     @staticmethod
-    def _attention_mask(blocked: np.ndarray, shape):
-        """`blocked` broadcast to the (b, h, lq, lkv) scores, or None when it
-        blocks nothing: filling no entry changes no value and no gradient."""
-        return np.broadcast_to(blocked, shape) if blocked.any() else None
+    def _attention_mask(blocked: np.ndarray):
+        """`blocked`, broadcasting to the scores, or None when it blocks
+        nothing: filling no entry changes no value and no gradient."""
+        return blocked if blocked.any() else None
 
     def _norm(self, ops, name, x):
         return ops.layer_norm(x, self._p(ops, f"{name}/gain"), self._p(ops, f"{name}/bias"))
 
-    def _ff(self, ops, prefix, x2d):
-        return self._linear(ops, f"{prefix}/w2", ops.relu(self._linear(ops, f"{prefix}/w1", x2d)))
+    def _ff(self, ops, prefix, x):
+        w = [self._p(ops, f"{prefix}/{name}") for name in ("w1/w", "w1/b", "w2/w", "w2/b")]
+        return ops.feed_forward(x, *w)
 
-    def _residual(self, ops, x, y2d):
-        """x (b, l, d) plus the dropped-out sublayer output y2d (b * l, d)."""
-        return ops.add(x, self._dropout(ops, ops.reshape(y2d, x.shape)))
+    def _residual(self, ops, x, y):
+        """The stream x plus the sublayer output y after dropout."""
+        return ops.residual(x, y, self._keep(y.shape))
 
     # -- encoder / decoder --------------------------------------------------
+
+    def _encoder(self, ops, src_ids: np.ndarray, adapter=None):
+        """Encoder states (B * Ls, d) of src ids (B, Ls), the adapter applied."""
+        src_ids = np.asarray(src_ids)
+        if src_ids.ndim != 2:
+            raise ModelError(f"src ids must be (batch, length), got {src_ids.shape}")
+        if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= len(self.src_vocab)):
+            raise ModelError("source id out of vocabulary range")
+        b = src_ids.shape[0]
+        mask = self._attention_mask((src_ids == self.src_vocab.pad_id)[:, None, None, :])
+        x = self._embed(ops, src_ids, "src_embed")
+        for i in range(self.config.layers):
+            p = f"encoder/l{i}"
+            h = self._norm(ops, f"{p}/attn_norm", x)
+            q = self._heads(ops, f"{p}/attn/wq", h, b)
+            k_t, v = self._kv(ops, f"{p}/attn", h, b)
+            x = self._residual(ops, x, self._attend(ops, f"{p}/attn", q, k_t, v, mask))
+            h = self._norm(ops, f"{p}/ff_norm", x)
+            x = self._residual(ops, x, self._ff(ops, f"{p}/ff", h))
+        x = self._norm(ops, "encoder/final_norm", x)
+        if adapter is not None:
+            m = self._leaf(ops, adapter.as_tensor(x.dtype))
+            d = self.config.model_dim
+            if m.shape != (d, d):
+                raise ModelError(f"adapter shape {m.shape} does not match d={d}")
+            x = ops.matmul(x, ops.transpose(m))
+        return x
 
     def encode(self, src_ids: np.ndarray, adapter=None, tape: bool = True):
         """Encoder states (B, Ls, d); adapter (if given) is applied position-wise.
@@ -322,43 +340,19 @@ class Seq2SeqModel:
         (padding positions included) instead of after every op.
         """
         ops = self._ops(tape)
-        src_ids = np.asarray(src_ids)
-        if src_ids.ndim != 2:
-            raise ModelError(f"src ids must be (batch, length), got {src_ids.shape}")
-        if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= len(self.src_vocab)):
-            raise ModelError("source id out of vocabulary range")
-        b, ls = src_ids.shape
-        d = self.config.model_dim
-        pad = src_ids == self.src_vocab.pad_id
-        mask = self._attention_mask(pad[:, None, None, :], (b, self.config.heads, ls, ls))
-        x = self._embed(ops, src_ids, "src_embed")
-        for i in range(self.config.layers):
-            p = f"encoder/l{i}"
-            h = ops.reshape(self._norm(ops, f"{p}/attn_norm", x), (b * ls, d))
-            q = self._heads(ops, f"{p}/attn", "wq", h, b, ls)
-            k_t, v = self._kv(ops, f"{p}/attn", h, b, ls)
-            x = self._residual(ops, x, self._attend(ops, f"{p}/attn", q, k_t, v, mask))
-            h = ops.reshape(self._norm(ops, f"{p}/ff_norm", x), (b * ls, d))
-            x = self._residual(ops, x, self._ff(ops, f"{p}/ff", h))
-        x = self._norm(ops, "encoder/final_norm", x)
-        if adapter is not None:
-            m = self._leaf(ops, adapter.as_tensor(x.dtype))
-            if m.shape != (d, d):
-                raise ModelError(f"adapter shape {m.shape} does not match d={d}")
-            x = ops.reshape(ops.matmul(ops.reshape(x, (b * ls, d)), ops.transpose(m)), (b, ls, d))
+        x = self._encoder(ops, src_ids, adapter)
+        x = ops.reshape(x, np.shape(src_ids) + (self.config.model_dim,))
         return x if tape else T.check_finite("encode", x)
 
-    def _cross_kv(self, ops, memory) -> list:
-        """Per decoder layer, the cross-attention (keys, values) of memory (B, Ls, d)."""
-        b, ls, d = memory.shape
-        mem2d = ops.reshape(memory, (b * ls, d))
+    def _cross_kv(self, ops, memory, rows) -> list:
+        """Per decoder layer, the cross-attention (keys, values) of memory (rows * Ls, d)."""
         return [
-            self._kv(ops, f"decoder/l{i}/cross_attn", mem2d, b, ls)
+            self._kv(ops, f"decoder/l{i}/cross_attn", memory, rows)
             for i in range(self.config.layers)
         ]
 
     def _decoder(self, ops, ids, cross, src_pad, cache=None):
-        """Final-norm decoder states (b, lt, d) of target ids (b, lt).
+        """Final-norm decoder states (b * lt, d) of target ids (b, lt).
 
         `cross` holds each layer's (keys, values) from `_cross_kv`; src_pad
         (b, Ls) is True at source padding. Without `cache` the ids are whole
@@ -366,28 +360,27 @@ class Seq2SeqModel:
         are the positions after `cache.length`: each layer appends their
         self-attention keys and values to the cache and attends over all of it.
         """
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.tgt_vocab)):
+            raise ModelError("target id out of vocabulary range")
         b, lt = ids.shape
-        d, heads = self.config.model_dim, self.config.heads
         start = 0 if cache is None else cache.length
         # query start + i sees keys 0 .. start + i
-        blocked = np.arange(start + lt) > np.arange(start, start + lt)[:, None]
-        self_mask = self._attention_mask(blocked, (b, heads, lt, start + lt))
-        cross_mask = self._attention_mask(src_pad[:, None, None, :], (b, heads, lt, src_pad.shape[1]))
+        self_mask = self._attention_mask(np.arange(start + lt) > np.arange(start, start + lt)[:, None])
+        cross_mask = self._attention_mask(src_pad[:, None, None, :])
         x = self._embed(ops, ids, "tgt_embed", start)
         for i, (cross_k, cross_v) in enumerate(cross):
             p = f"decoder/l{i}"
-            h = ops.reshape(self._norm(ops, f"{p}/self_norm", x), (b * lt, d))
-            q = self._heads(ops, f"{p}/self_attn", "wq", h, b, lt)
-            k_t, v = self._kv(ops, f"{p}/self_attn", h, b, lt)
+            h = self._norm(ops, f"{p}/self_norm", x)
+            q = self._heads(ops, f"{p}/self_attn/wq", h, b)
+            k_t, v = self._kv(ops, f"{p}/self_attn", h, b)
             if cache is not None:
                 k_t = cache.self_k[i] = np.concatenate((cache.self_k[i], k_t), axis=3)
                 v = cache.self_v[i] = np.concatenate((cache.self_v[i], v), axis=2)
             x = self._residual(ops, x, self._attend(ops, f"{p}/self_attn", q, k_t, v, self_mask))
-            h = ops.reshape(self._norm(ops, f"{p}/cross_norm", x), (b * lt, d))
-            q = self._heads(ops, f"{p}/cross_attn", "wq", h, b, lt)
-            a = self._attend(ops, f"{p}/cross_attn", q, cross_k, cross_v, cross_mask)
-            x = self._residual(ops, x, a)
-            h = ops.reshape(self._norm(ops, f"{p}/ff_norm", x), (b * lt, d))
+            h = self._norm(ops, f"{p}/cross_norm", x)
+            q = self._heads(ops, f"{p}/cross_attn/wq", h, b)
+            x = self._residual(ops, x, self._attend(ops, f"{p}/cross_attn", q, cross_k, cross_v, cross_mask))
+            h = self._norm(ops, f"{p}/ff_norm", x)
             x = self._residual(ops, x, self._ff(ops, f"{p}/ff", h))
         if cache is not None:
             cache.length = start + lt
@@ -395,15 +388,22 @@ class Seq2SeqModel:
 
     def decode_states(self, tgt_in_ids: np.ndarray, memory, src_ids: np.ndarray, tape: bool = True):
         """Decoder states (B, Lt, d) of whole target prefixes over `memory`
-        (a Tensor, or with tape=False a plain array)."""
+        (B, Ls, d) (a Tensor, or with tape=False a plain array)."""
         tgt_in_ids = np.asarray(tgt_in_ids)
-        if tgt_in_ids.size and (
-            tgt_in_ids.min() < 0 or tgt_in_ids.max() >= len(self.tgt_vocab)
-        ):
-            raise ModelError("target id out of vocabulary range")
         ops = self._ops(tape)
+        b, ls, d = memory.shape
+        cross = self._cross_kv(ops, ops.reshape(memory, (b * ls, d)), b)
         src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
-        return self._decoder(ops, tgt_in_ids, self._cross_kv(ops, memory), src_pad)
+        states = self._decoder(ops, tgt_in_ids, cross, src_pad)
+        return ops.reshape(states, tgt_in_ids.shape + (d,))
+
+    def _logits(self, ops, states):
+        """Vocabulary logits of decoder states (positions, d)."""
+        if self.config.tied_output_embedding:
+            w = ops.transpose(self._p(ops, "tgt_embed/tok"))
+        else:
+            w = self._p(ops, "output_proj/w")
+        return ops.matmul(states, w)
 
     def output_logits(self, dec_states, tape: bool = True):
         """Vocabulary logits (positions, V) of decoder states (..., d).
@@ -411,12 +411,7 @@ class Seq2SeqModel:
         With tape=False the result is a plain array, checked once for NaN/Inf.
         """
         ops = self._ops(tape)
-        flat = ops.reshape(dec_states, (-1, self.config.model_dim))
-        if self.config.tied_output_embedding:
-            w = ops.transpose(self._p(ops, "tgt_embed/tok"))
-        else:
-            w = self._p(ops, "output_proj/w")
-        logits = ops.matmul(flat, w)
+        logits = self._logits(ops, ops.reshape(dec_states, (-1, self.config.model_dim)))
         return logits if tape else T.check_finite("output logits", logits)
 
     def decoder_input(self, tgt_ids: np.ndarray) -> np.ndarray:
@@ -426,14 +421,22 @@ class Seq2SeqModel:
         return dec_in
 
     def forward_loss(self, batch: Batch, adapter=None) -> T.Tensor:
-        """Label-smoothed mean per-token cross-entropy; padding masked out."""
+        """Label-smoothed mean per-token cross-entropy; padding masked out.
+
+        A frozen encoder runs on plain arrays, its states checked once for
+        NaN/Inf, and enters the tape as a constant.
+        """
         tgt = batch.tgt
         weights = (tgt != self.tgt_vocab.pad_id).astype(np.float64).ravel()
         if weights.sum() == 0:
             raise ModelError("batch has an all-padding target")
-        memory = self.encode(batch.src, adapter=adapter)
-        states = self.decode_states(self.decoder_input(tgt), memory, batch.src)
-        logits = self.output_logits(states)
+        if any(p.requires_grad for n, p in self.params.items() if group_of(n) in ENCODER_SIDE_GROUPS):
+            memory = self._encoder(T, batch.src, adapter)
+        else:
+            memory = T.Tensor(T.check_finite("encode", self._encoder(T.ArrayOps, batch.src, adapter)))
+        cross = self._cross_kv(T, memory, tgt.shape[0])
+        src_pad = batch.src == self.src_vocab.pad_id
+        logits = self._logits(T, self._decoder(T, self.decoder_input(tgt), cross, src_pad))
         return T.cross_entropy_logits(
             logits, tgt.ravel(), weights, label_smoothing=self.config.label_smoothing
         )
@@ -443,7 +446,7 @@ class Seq2SeqModel:
         memory = self.encode(batch.src, adapter=adapter, tape=False)
         states = self.decode_states(self.decoder_input(batch.tgt), memory, batch.src, tape=False)
         logits = self.output_logits(states, tape=False)
-        z = logits - logits.max(axis=1, keepdims=True)
+        z = logits - T.row_max(logits)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         flat_tgt = batch.tgt.ravel()
         tok_lp = logp[np.arange(flat_tgt.size), flat_tgt].reshape(batch.tgt.shape)
@@ -472,7 +475,7 @@ class Seq2SeqModel:
         h = self.config.heads
         dh = d // h
         layers = self.config.layers
-        cross = self._cross_kv(T.ArrayOps, memory)
+        cross = self._cross_kv(T.ArrayOps, memory.reshape(b * ls, d), b)
         return DecodeState(
             self_k=[np.zeros((b, h, dh, 0), dtype=memory.dtype)] * layers,
             self_v=[np.zeros((b, h, 0, dh), dtype=memory.dtype)] * layers,
@@ -492,11 +495,9 @@ class Seq2SeqModel:
         rows = state.rows
         if ids.shape != (rows, 1):
             raise ModelError(f"step ids must be ({rows}, 1), got {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self.tgt_vocab)):
-            raise ModelError("target id out of vocabulary range")
         cross = zip(state.cross_k, state.cross_v)
         states = self._decoder(T.ArrayOps, ids, cross, state.src_pad, cache=state)
-        return self.output_logits(states, tape=False)
+        return T.check_finite("output logits", self._logits(T.ArrayOps, states))
 
     # -- surgery helpers ----------------------------------------------------
 

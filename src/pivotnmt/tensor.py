@@ -1,8 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The substrate for all model math in this package: a small set of primitive
-ops recorded on a dynamic tape, an Adam optimizer, and a double-precision SVD
-wrapper used by the representation-space alignment solver.
+The substrate for all model math in this package: primitive ops recorded on
+a dynamic tape, an Adam optimizer, and a double-precision SVD wrapper used by
+the representation-space alignment solver.
 
 `requires_grad` is the one switch for differentiation: ops record tape nodes,
 and Adam updates parameters, only where it is on. A frozen parameter has it
@@ -13,11 +13,24 @@ Conventions:
     row-wise bias addition goes through `affine`, replication through `tile`
   * training arithmetic defaults to float32; gradient checks and SVD run in
     float64
-  * any primitive producing a non-finite value raises `NonFiniteError`
+  * any primitive producing a non-finite value raises `NonFiniteError`, and
+    so does `backward` when a parameter's gradient is non-finite
+
+The transformer's layers run on fused primitives, each one tape node with a
+hand-written backward: `heads` (projection split into attention heads),
+`attention` (scores to merged context), `feed_forward`, `residual` (dropout
+keep-mask and add) and `embed` (token plus position, scale, dropout). Their
+values and gradients equal those of the chains of elementary primitives they
+replace bit for bit: the same kernels run in the same order, and the
+gradients reach each tensor in the same order. Each checks its output, and
+also the intermediate whose non-finite value it would otherwise hide:
+`attention` the scaled scores before masking (a -inf score at a key that is
+not masked becomes weight 0) and `feed_forward` its pre-activation
+(`relu(-inf)` is 0).
 
 `ArrayOps` holds the forward kernels of the primitives the model uses, on
 plain arrays: the tape primitives compute their outputs with them, and the
-model's inference path (`model.Seq2SeqModel` with `tape=False`) calls them
+model's array path (inference, and a frozen encoder in training) calls them
 directly, with no `Tensor` objects and no tape. That path skips the per-op
 finiteness check and runs `check_finite` once on each call's output instead.
 """
@@ -98,8 +111,12 @@ class Tensor:
 
 def check_finite(op: str, data: np.ndarray) -> np.ndarray:
     """`data`, unless it holds a NaN or Inf: then raise `NonFiniteError`."""
-    # single-pass check: any NaN/Inf entry makes the sum non-finite
-    if not math.isfinite(float(np.add.reduce(data, axis=None))):
+    # one pass over the data: any NaN/Inf entry makes the sum non-finite.
+    # Finite values can overflow the sum too, so a non-finite sum is
+    # confirmed entry by entry before raising.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.add.reduce(data, axis=None))
+    if not math.isfinite(total) and not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: non-finite values in output")
     return data
 
@@ -130,8 +147,9 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor):
 def backward(loss: Tensor):
     """Accumulate gradients of `loss` into every requires_grad tensor on the tape.
 
-    The tape is cleared afterwards; a second backward through the same graph
-    raises.
+    Raises `NonFiniteError` when a leaf (parameter) gradient holds a NaN or
+    Inf, so that no optimizer step writes it into the parameters. The tape
+    is cleared afterwards; a second backward through the same graph raises.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -155,6 +173,7 @@ def backward(loss: Tensor):
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
+    leaves = [node for node in order if node._backward is None]
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
@@ -162,13 +181,30 @@ def backward(loss: Tensor):
         node._used = True
         node._backward = None
         node._parents = ()
-    if loss.grad is not None and not np.all(np.isfinite(loss.grad)):
-        raise NonFiniteError("backward: non-finite gradient")
+    for leaf in leaves:
+        if leaf.grad is not None:
+            check_finite("backward", leaf.grad)
 
 
 # ---------------------------------------------------------------------------
 # forward kernels
 # ---------------------------------------------------------------------------
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """`np.maximum.reduce(a, axis=-1, keepdims=True)`, the same values (NaN included).
+
+    A reduction along a short last axis pays a per-row cost; on a copy with
+    the axes reversed the same maxima come from one pass along the first
+    axis, many times faster for attention scores.
+    """
+    return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0).T[..., None]
+
+
+def _softmax(a):
+    e = np.exp(a - row_max(a))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
 
 def _layer_norm_parts(x, gain, bias, eps):
     """Layer norm output with the normalized input and inverse std its backward needs."""
@@ -178,29 +214,64 @@ def _layer_norm_parts(x, gain, bias, eps):
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    xc *= inv  # now xhat
+    out = xc * gain
+    out += bias
+    return out, xc, inv
+
+
+def _scatter_rows(table, ids, g):
+    """Gradient of the row lookup `table[ids]`: the rows of g summed into a
+    zero table at the rows ids name, in order, as `np.add.at(out, ids, g)`
+    sums them, through a 1-D scatter on flat indices."""
+    d = table.shape[1]
+    out = np.zeros_like(table)
+    flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, g.reshape(-1))
+    return out
+
+
+def _split_heads(y, rows, heads, keys=False):
+    """(rows * length, d) -> (rows, heads, length, d/heads), or for keys
+    (rows, heads, d/heads, length), as a contiguous array."""
+    y = y.reshape(rows, -1, heads, y.shape[1] // heads)
+    return np.ascontiguousarray(y.transpose((0, 2, 3, 1) if keys else (0, 2, 1, 3)))
+
+
+def _merge_heads(a, keys=False):
+    """The inverse of `_split_heads`: back to (rows * length, d)."""
+    a = np.ascontiguousarray(a.transpose((0, 3, 1, 2) if keys else (0, 2, 1, 3)))
+    return a.reshape(a.shape[0] * a.shape[1], -1)
+
+
+def _attention_parts(q, k_t, v, mask):
+    """Merged context rows with the scaled scores and the attention weights."""
+    scores = q @ k_t
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    if mask is not None:
+        weights = _softmax(np.where(mask, np.asarray(-1e9, dtype=scores.dtype), scores))
+    else:
+        weights = _softmax(scores)
+    return _merge_heads(weights @ v), scores, weights
+
+
+def _feed_forward_parts(x, w1, b1, w2, b2):
+    """Feed-forward output with the pre-activation and hidden activation."""
+    pre = x @ w1
+    pre += b1
+    hidden = np.maximum(pre, 0)
+    out = hidden @ w2
+    out += b2
+    return out, pre, hidden
 
 
 class ArrayOps:
-    """Forward kernels of the primitives, on plain arrays.
+    """Forward kernels of the primitives the model uses, on plain arrays.
 
     The same names and arguments as the tape primitives, so model code runs
     on either op set. No tape, no shape checks and no finiteness check: the
     caller checks its final output once with `check_finite`.
     """
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def scale(a, c):
-        return a * float(c)
 
     @staticmethod
     def matmul(a, b):
@@ -209,29 +280,13 @@ class ArrayOps:
     @staticmethod
     def affine(x, w, b=None):
         y = x @ w
-        return y if b is None else y + b
-
-    @staticmethod
-    def relu(a):
-        return np.maximum(a, 0)
-
-    @staticmethod
-    def softmax(a):
-        # ufunc reductions are what ndarray.max/sum run, minus their Python wrappers
-        e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
-        return e / np.add.reduce(e, axis=-1, keepdims=True)
+        if b is not None:
+            y += b
+        return y
 
     @staticmethod
     def layer_norm(x, gain, bias, eps: float = 1e-5):
         return _layer_norm_parts(x, gain, bias, eps)[0]
-
-    @staticmethod
-    def embedding(table, ids):
-        return table[ids]
-
-    @staticmethod
-    def masked_fill(x, mask, value):
-        return np.where(mask, np.asarray(value, dtype=x.dtype), x)
 
     @staticmethod
     def reshape(x, shape):
@@ -241,6 +296,35 @@ class ArrayOps:
     def transpose(x, axes=None):
         # a contiguous copy: the products downstream see the same layout on both paths
         return np.ascontiguousarray(x.transpose(axes))
+
+    @staticmethod
+    def heads(x, w, b, rows, n_heads, keys=False):
+        y = x @ w
+        y += b
+        return _split_heads(y, rows, n_heads, keys)
+
+    @staticmethod
+    def attention(q, k_t, v, mask=None):
+        return _attention_parts(q, k_t, v, mask)[0]
+
+    @staticmethod
+    def feed_forward(x, w1, b1, w2, b2):
+        return _feed_forward_parts(x, w1, b1, w2, b2)[0]
+
+    @staticmethod
+    def residual(x, y, keep=None):
+        return x + (y if keep is None else y * keep)
+
+    @staticmethod
+    def embed(tok, pos, ids, start, scale, keep=None):
+        rows, length = ids.shape
+        x = tok[ids]
+        x += pos[start:start + length]
+        x *= scale
+        x = x.reshape(rows * length, -1)
+        if keep is not None:
+            x *= keep
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +338,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(g)
         if b.requires_grad:
             b.accumulate_grad(g)
-    return _result("add", ArrayOps.add(a.data, b.data), (a, b), bwd)
+    return _result("add", a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -274,7 +358,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(g * b.data)
         if b.requires_grad:
             b.accumulate_grad(g * a.data)
-    return _result("mul", ArrayOps.mul(a.data, b.data), (a, b), bwd)
+    return _result("mul", a.data * b.data, (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -282,7 +366,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * c)
-    return _result("scale", ArrayOps.scale(a.data, c), (a,), bwd)
+    return _result("scale", a.data * c, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -306,14 +390,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result("matmul", ArrayOps.matmul(a.data, b.data), (a, b), bwd)
 
 
+def _check_linear(op: str, x: Tensor, w: Tensor, b: Tensor | None):
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"{op}: x and w must be 2-D, got {x.shape}, {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"{op}: inner dims differ for {x.shape} @ {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"{op}: bias shape {b.shape} != ({w.shape[1]},)")
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w (+ b added to every row); x is 2-D, w 2-D, b 1-D."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"affine: x and w must be 2-D, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: inner dims differ for {x.shape} @ {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise ShapeError(f"affine: bias shape {b.shape} != ({w.shape[1]},)")
+    _check_linear("affine", x, w, b)
     y = ArrayOps.affine(x.data, w.data, None if b is None else b.data)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -331,17 +419,20 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a.accumulate_grad(g * (a.data > 0))
-    return _result("relu", ArrayOps.relu(a.data), (a,), bwd)
+    return _result("relu", np.maximum(a.data, 0), (a,), bwd)
+
+
+def _softmax_grad(g, out):
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, numerically stabilized."""
-    out = ArrayOps.softmax(a.data)
+    out = _softmax(a.data)
 
     def bwd(g):
         if a.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(out * (g - inner))
+            a.accumulate_grad(_softmax_grad(g, out))
     return _result("softmax", out, (a,), bwd)
 
 
@@ -360,30 +451,35 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
+            # inv * (gx - m1 - xhat * m2), evaluated in place in that order
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gx - m1 - xhat * m2))
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True) / d
+            t = gx * xhat
+            m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
+            gx -= m1
+            gx -= np.multiply(xhat, m2, out=t)
+            gx *= inv
+            x.accumulate_grad(gx)
     return _result("layer_norm", out, (x, gain, bias), bwd)
+
+
+def _check_ids(op: str, table: Tensor, ids: np.ndarray) -> np.ndarray:
+    if table.data.ndim != 2:
+        raise ShapeError(f"{op}: table must be 2-D, got {table.shape}")
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ShapeError(f"{op}: id out of range [0, {table.shape[0]}) in lookup")
+    return ids
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: ids of any shape index the first axis of a 2-D table."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding: table must be 2-D, got {table.shape}")
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(
-            f"embedding: id out of range [0, {table.shape[0]}) in lookup"
-        )
-    out = ArrayOps.embedding(table.data, ids)
+    ids = _check_ids("embedding", table, ids)
 
     def bwd(g):
         if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids.ravel(), g.reshape(-1, table.shape[1]))
-            table.accumulate_grad(gt)
-    return _result("embedding", out, (table,), bwd)
+            table.accumulate_grad(_scatter_rows(table.data, ids, g))
+    return _result("embedding", table.data[ids], (table,), bwd)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -411,7 +507,7 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ShapeError(f"masked_fill: mask shape {mask.shape} != {x.shape}")
-    out = ArrayOps.masked_fill(x.data, mask, value)
+    out = np.where(mask, np.asarray(value, dtype=x.data.dtype), x.data)
 
     def bwd(g):
         if x.requires_grad:
@@ -499,7 +595,7 @@ def cross_entropy_logits(
     if wsum <= 0:
         raise ShapeError("cross_entropy: all rows have zero weight")
 
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits.data - row_max(logits.data)
     lse = np.log(np.exp(z).sum(axis=1))
     logp = z - lse[:, None]
     eps = float(label_smoothing)
@@ -518,6 +614,141 @@ def cross_entropy_logits(
             gl = (p - q) * (weights / wsum)[:, None]
             logits.accumulate_grad(gl * g.reshape(()))
     return _result("cross_entropy", value, (logits,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused layer primitives
+# ---------------------------------------------------------------------------
+
+def heads(x: Tensor, w: Tensor, b: Tensor, rows: int, n_heads: int, keys: bool = False) -> Tensor:
+    """Projection `x @ w + b` of (rows * length, d_in) rows, split into heads:
+    (rows, heads, length, d/heads), or with `keys` the transposed layout the
+    score product takes, (rows, heads, d/heads, length)."""
+    _check_linear("heads", x, w, b)
+    if x.shape[0] % rows or w.shape[1] % n_heads:
+        raise ShapeError(f"heads: {x.shape} @ {w.shape} does not split into {rows} rows x {n_heads} heads")
+    out = ArrayOps.heads(x.data, w.data, b.data, rows, n_heads, keys)
+
+    def bwd(g):
+        g = _merge_heads(g, keys)
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ g)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+    return _result("heads", out, (x, w, b), bwd)
+
+
+def attention(q: Tensor, k_t: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention, heads merged: (rows * lq, d).
+
+    q is (rows, heads, lq, dh), k_t (rows, heads, dh, lk) and v (rows, heads,
+    lk, dh). `mask` is a bool array broadcasting to the (rows, heads, lq, lk)
+    scores, True where a key is blocked, or None. Checks the scaled scores
+    before masking as well as the output.
+    """
+    if q.data.ndim != 4 or k_t.data.ndim != 4 or v.data.ndim != 4:
+        raise ShapeError(f"attention: need rank 4, got {q.shape}, {k_t.shape}, {v.shape}")
+    rows, h, lq, dh = q.shape
+    lk = k_t.shape[3]
+    if k_t.shape != (rows, h, dh, lk) or v.shape != (rows, h, lk, dh):
+        raise ShapeError(f"attention: q {q.shape}, keys {k_t.shape}, values {v.shape} disagree")
+    if mask is not None:
+        try:
+            np.broadcast_to(mask, (rows, h, lq, lk))
+        except ValueError:
+            raise ShapeError(f"attention: mask {mask.shape} does not broadcast to {(rows, h, lq, lk)}") from None
+    out, scores, weights = _attention_parts(q.data, k_t.data, v.data, mask)
+    check_finite("attention scores", scores)
+    c = 1.0 / math.sqrt(dh)
+
+    def bwd(g):
+        g = _split_heads(g, rows, h)
+        if q.requires_grad or k_t.requires_grad:
+            gs = _softmax_grad(g @ np.swapaxes(v.data, -1, -2), weights)
+            if mask is not None:
+                gs = np.where(mask, 0, gs)
+            gs *= c
+            if q.requires_grad:
+                q.accumulate_grad(gs @ np.swapaxes(k_t.data, -1, -2))
+            if k_t.requires_grad:
+                k_t.accumulate_grad(np.swapaxes(q.data, -1, -2) @ gs)
+        if v.requires_grad:
+            v.accumulate_grad(np.swapaxes(weights, -1, -2) @ g)
+    return _result("attention", out, (q, k_t, v), bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """`relu(x @ w1 + b1) @ w2 + b2` on 2-D x; checks the pre-activation as
+    well as the output."""
+    _check_linear("feed_forward", x, w1, b1)
+    if w2.data.ndim != 2 or w2.shape[0] != w1.shape[1] or b2.shape != (w2.shape[1],):
+        raise ShapeError(f"feed_forward: second layer {w2.shape}, {b2.shape} does not follow {w1.shape}")
+    out, pre, hidden = _feed_forward_parts(x.data, w1.data, b1.data, w2.data, b2.data)
+    check_finite("feed_forward pre-activation", pre)
+
+    def bwd(g):
+        if w2.requires_grad:
+            w2.accumulate_grad(hidden.T @ g)
+        if b2.requires_grad:
+            b2.accumulate_grad(g.sum(axis=0))
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gpre = (g @ w2.data.T) * (pre > 0)
+            if x.requires_grad:
+                x.accumulate_grad(gpre @ w1.data.T)
+            if w1.requires_grad:
+                w1.accumulate_grad(x.data.T @ gpre)
+            if b1.requires_grad:
+                b1.accumulate_grad(gpre.sum(axis=0))
+    return _result("feed_forward", out, (x, w1, b1, w2, b2), bwd)
+
+
+def residual(x: Tensor, y: Tensor, keep: np.ndarray | None = None) -> Tensor:
+    """`x + y * keep`: a sublayer output y after its dropout keep-mask (None
+    for no dropout), added to the residual stream x of the same shape."""
+    _require_same_shape("residual", x, y)
+    if keep is not None and keep.shape != y.shape:
+        raise ShapeError(f"residual: keep-mask shape {keep.shape} != {y.shape}")
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate_grad(g)
+        if y.requires_grad:
+            y.accumulate_grad(g if keep is None else g * keep)
+    return _result("residual", ArrayOps.residual(x.data, y.data, keep), (x, y), bwd)
+
+
+def embed(
+    tok: Tensor, pos: Tensor, ids: np.ndarray, start: int, scale: float, keep: np.ndarray | None = None
+) -> Tensor:
+    """Token plus position embeddings of ids (rows, length) at positions
+    start, start + 1, ...; times `scale`, then the dropout keep-mask (None
+    for no dropout). Output rows are (rows * length, d)."""
+    ids = _check_ids("embed", tok, ids)
+    if ids.ndim != 2:
+        raise ShapeError(f"embed: ids must be (rows, length), got {ids.shape}")
+    rows, length = ids.shape
+    if pos.data.ndim != 2 or pos.shape[1] != tok.shape[1] or start < 0 or start + length > pos.shape[0]:
+        raise ShapeError(f"embed: positions {start}..{start + length} do not fit table {pos.shape}")
+    if keep is not None and keep.shape != (rows * length, tok.shape[1]):
+        raise ShapeError(f"embed: keep-mask shape {keep.shape} != {(rows * length, tok.shape[1])}")
+    scale = float(scale)
+    out = ArrayOps.embed(tok.data, pos.data, ids, start, scale, keep)
+
+    def bwd(g):
+        if keep is not None:
+            g = g * keep
+        g = g * scale
+        if tok.requires_grad:
+            tok.accumulate_grad(_scatter_rows(tok.data, ids, g))
+        if pos.requires_grad:
+            # positions repeat across rows: a sequential sum over the rows,
+            # in the order np.add.at would add them
+            gp = np.zeros_like(pos.data)
+            np.add.reduce(g.reshape(rows, length, -1), axis=0, out=gp[start:start + length])
+            pos.accumulate_grad(gp)
+    return _result("embed", out, (tok, pos), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .data import (
     make_batches,
     mix_corpora,
 )
-from .model import ModelConfig, ModelError, Seq2SeqModel, init_params
+from .model import ENCODER_SIDE_GROUPS, ModelConfig, ModelError, Seq2SeqModel, init_params
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +97,8 @@ class ScheduleTracker:
 def validation_perplexity(model: Seq2SeqModel, corpus, max_tokens: int, adapter=None) -> float:
     """exp(mean token NLL) over a corpus, deterministic, no smoothing."""
     stream = make_batches(
-        corpus, model.src_vocab, model.tgt_vocab, max_tokens, seed=0, epoch=0
+        corpus, model.src_vocab, model.tgt_vocab, max_tokens, seed=0, epoch=0,
+        max_len=model.config.max_len,
     )
     total_nll = 0.0
     total_tokens = 0
@@ -194,6 +195,7 @@ def train(
                 schedule.max_tokens,
                 seed=seed,
                 epoch=epoch,
+                max_len=model.config.max_len,
             )
             for batch in stream.batches:
                 model.set_train(True, drop_rng)
@@ -261,7 +263,6 @@ def train(
 # transfer operations
 # ---------------------------------------------------------------------------
 
-ENCODER_SIDE_GROUPS = ("src_embed", "encoder")
 DECODER_SIDE_GROUPS = ("tgt_embed", "decoder", "output_proj")
 
 

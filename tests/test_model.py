@@ -328,7 +328,8 @@ def tape_norm(model, name, x):
 def tape_attend(model, prefix, q, k_t, v, mask):
     rows, _, lq, dh = q.shape
     scores = T.scale(T.matmul(q, k_t), 1.0 / math.sqrt(dh))
-    scores = T.masked_fill(scores, mask, -1e9)
+    if mask is not None:
+        scores = T.masked_fill(scores, mask, -1e9)
     ctx = T.matmul(T.softmax(scores), v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (rows * lq, model.config.model_dim))
     return T.affine(ctx, model.params[f"{prefix}/wo/w"], model.params[f"{prefix}/wo/b"])
@@ -386,6 +387,117 @@ def reference_step_logits(model, ids, state):
     logits = model.output_logits(tape_norm(model, "decoder/final_norm", x)).data
     state.length = t + 1
     return logits
+
+
+def tape_ff(model, prefix, x2d):
+    p = model.params
+    h = T.relu(T.affine(x2d, p[f"{prefix}/w1/w"], p[f"{prefix}/w1/b"]))
+    return T.affine(h, p[f"{prefix}/w2/w"], p[f"{prefix}/w2/b"])
+
+
+def reference_dropout(model, x):
+    p = model.config.dropout
+    if not model._train_mode or p <= 0.0:
+        return x
+    mask = (model._rng.random(x.shape, dtype=np.float32) >= p).astype(x.dtype)
+    mask *= 1.0 / (1.0 - p)
+    return T.mul(x, T.Tensor(mask, dtype=x.dtype))
+
+
+def reference_embed(model, ids, side):
+    b, length = ids.shape
+    tok = T.embedding(model.params[f"{side}/tok"], ids)
+    pos = T.embedding(model.params[f"{side}/pos"], np.broadcast_to(np.arange(length), (b, length)))
+    return reference_dropout(model, T.scale(T.add(tok, pos), math.sqrt(model.config.model_dim)))
+
+
+def reference_residual(model, x, y2d):
+    return T.add(x, reference_dropout(model, T.reshape(y2d, x.shape)))
+
+
+def broadcast_mask(blocked, shape):
+    return np.broadcast_to(blocked, shape) if blocked.any() else None
+
+
+def reference_forward_loss(model, batch, adapter=None):
+    """The training loss through the elementary tape primitives, one op per
+    node, with a 3-D residual stream: the chain the fused primitives
+    replace, kept as their oracle."""
+    src, tgt = batch.src, batch.tgt
+    d, h = model.config.model_dim, model.config.heads
+    (b, ls), lt = src.shape, tgt.shape[1]
+
+    def attention_block(prefix, x, q_len, k_t, v, mask, q_name):
+        y = T.reshape(tape_norm(model, q_name, x), (b * q_len, d))
+        q = tape_heads(model, f"{prefix}/wq", y, b, q_len)
+        if k_t is None:  # self-attention
+            k_t = T.transpose(tape_heads(model, f"{prefix}/wk", y, b, q_len), (0, 1, 3, 2))
+            v = tape_heads(model, f"{prefix}/wv", y, b, q_len)
+        return reference_residual(model, x, tape_attend(model, prefix, q, k_t, v, mask))
+
+    def ff_block(prefix, x, length):
+        y = T.reshape(tape_norm(model, f"{prefix}/ff_norm", x), (b * length, d))
+        return reference_residual(model, x, tape_ff(model, f"{prefix}/ff", y))
+
+    pad = src == model.src_vocab.pad_id
+    mask = broadcast_mask(pad[:, None, None, :], (b, h, ls, ls))
+    x = reference_embed(model, src, "src_embed")
+    for i in range(model.config.layers):
+        p = f"encoder/l{i}"
+        x = attention_block(f"{p}/attn", x, ls, None, None, mask, f"{p}/attn_norm")
+        x = ff_block(p, x, ls)
+    memory = tape_norm(model, "encoder/final_norm", x)
+    if adapter is not None:
+        m = T.transpose(adapter.as_tensor(memory.dtype))
+        memory = T.reshape(T.matmul(T.reshape(memory, (b * ls, d)), m), (b, ls, d))
+
+    mem2d = T.reshape(memory, (b * ls, d))
+    cross = [
+        (
+            T.transpose(tape_heads(model, f"decoder/l{i}/cross_attn/wk", mem2d, b, ls), (0, 1, 3, 2)),
+            tape_heads(model, f"decoder/l{i}/cross_attn/wv", mem2d, b, ls),
+        )
+        for i in range(model.config.layers)
+    ]
+    self_mask = broadcast_mask(np.arange(lt) > np.arange(lt)[:, None], (b, h, lt, lt))
+    cross_mask = broadcast_mask(pad[:, None, None, :], (b, h, lt, ls))
+    x = reference_embed(model, model.decoder_input(tgt), "tgt_embed")
+    for i, (cross_k, cross_v) in enumerate(cross):
+        p = f"decoder/l{i}"
+        x = attention_block(f"{p}/self_attn", x, lt, None, None, self_mask, f"{p}/self_norm")
+        x = attention_block(f"{p}/cross_attn", x, lt, cross_k, cross_v, cross_mask, f"{p}/cross_norm")
+        x = ff_block(p, x, lt)
+    states = T.reshape(tape_norm(model, "decoder/final_norm", x), (b * lt, d))
+    logits = T.matmul(states, T.transpose(model.params["tgt_embed/tok"]))
+    weights = (tgt != model.tgt_vocab.pad_id).astype(np.float64).ravel()
+    return T.cross_entropy_logits(logits, tgt.ravel(), weights, label_smoothing=model.config.label_smoothing)
+
+
+@pytest.mark.parametrize("case", ["all_trainable", "encoder_frozen", "adapter"])
+def test_fused_training_loss_and_every_gradient_equal_the_primitive_chain_bitwise(case):
+    model = tiny_model(dtype="float32", dropout=0.3, layers=2)
+    rng = np.random.default_rng(13)
+    batch = random_batch(model, rng, b=4, ls=6, lt=7)
+    adapter = make_baseline_adapter("random", 8, seed=2) if case == "adapter" else None
+    if case == "encoder_frozen":
+        freeze(model, {"encoder", "src_embed"})
+
+    def run(forward):
+        model.zero_grad()
+        model.set_train(True, np.random.default_rng(21))
+        loss = forward(model, batch, adapter=adapter)
+        T.backward(loss)
+        model.set_train(False)
+        grads = {n: None if p.grad is None else p.grad.tobytes() for n, p in model.params.items()}
+        return loss.data.tobytes(), grads
+
+    fused_loss, fused_grads = run(type(model).forward_loss)
+    ref_loss, ref_grads = run(reference_forward_loss)
+    assert fused_loss == ref_loss
+    assert fused_grads == ref_grads
+    trained = {n for n, g in fused_grads.items() if g is not None}
+    frozen = model.frozen_param_names({"encoder", "src_embed"})
+    assert trained == (set(model.params) - frozen if case == "encoder_frozen" else set(model.params))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

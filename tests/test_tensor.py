@@ -75,8 +75,19 @@ def test_shape_mismatch_names_op_and_shapes():
 
 def test_non_finite_output_raises():
     big = T.Tensor(np.full((2, 2), 3e38, dtype=np.float32))
-    with pytest.raises(T.NonFiniteError):
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
         T.add(big, big)
+
+
+def test_check_finite_passes_huge_finite_values_and_rejects_each_non_finite():
+    huge = np.full(4, 3e38, np.float32)  # finite, but the sum overflows
+    assert T.check_finite("op", huge) is huge
+    T.check_finite("op", np.array([3e38, 3e38, -3e38, -3e38], np.float32))
+    for bad in (np.nan, np.inf, -np.inf):
+        data = huge.copy()
+        data[2] = bad
+        with pytest.raises(T.NonFiniteError, match="op"):
+            T.check_finite("op", data)
 
 
 def test_masked_fill_and_concat():
@@ -327,3 +338,181 @@ def test_softmax_rows_sum_to_one(seed):
     s = T.softmax(x).data
     np.testing.assert_allclose(s.sum(axis=-1), np.ones(4), atol=1e-12)
     assert np.all(s >= 0)
+
+
+# ---------------------------------------------------------------------------
+# fused layer primitives
+# ---------------------------------------------------------------------------
+
+def weighted_sum(y, rng):
+    """A scalar loss with a non-uniform gradient on every entry of y."""
+    return T.tsum(T.mul(y, T.Tensor(rng.standard_normal(y.shape), dtype=np.float64)))
+
+
+@pytest.mark.parametrize("keys", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_fd_heads(seed, keys):
+    rng = np.random.default_rng(seed)
+    x = rand_param(rng, 6, 4)  # 2 rows of length 3
+    w = rand_param(rng, 4, 6)
+    b = rand_param(rng, 6)
+    out = T.heads(x, w, b, 2, 3, keys=keys)
+    assert out.shape == ((2, 3, 2, 3) if keys else (2, 3, 3, 2))
+    check_grad(lambda: weighted_sum(T.heads(x, w, b, 2, 3, keys=keys), np.random.default_rng(9)), [x, w, b])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_fd_attention(seed, masked):
+    rng = np.random.default_rng(seed)
+    q = rand_param(rng, 2, 2, 3, 4)
+    k_t = rand_param(rng, 2, 2, 4, 5)
+    v = rand_param(rng, 2, 2, 5, 4)
+    mask = None
+    if masked:
+        mask = rng.random((2, 1, 1, 5)) < 0.4
+        mask[..., 0] = False  # every query keeps a key
+    out = T.attention(q, k_t, v, mask)
+    assert out.shape == (6, 8)
+    check_grad(lambda: weighted_sum(T.attention(q, k_t, v, mask), np.random.default_rng(9)), [q, k_t, v])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fd_feed_forward(seed):
+    rng = np.random.default_rng(seed)
+    x = rand_param(rng, 5, 4)
+    w1 = rand_param(rng, 4, 6)
+    b1 = rand_param(rng, 6)
+    w2 = rand_param(rng, 6, 3)
+    b2 = rand_param(rng, 3)
+    make_loss = lambda: weighted_sum(T.feed_forward(x, w1, b1, w2, b2), np.random.default_rng(9))
+    check_grad(make_loss, [x, w1, b1, w2, b2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fd_residual_with_keep_mask(seed):
+    rng = np.random.default_rng(seed)
+    x = rand_param(rng, 4, 3)
+    y = rand_param(rng, 4, 3)
+    keep = (rng.random((4, 3)) >= 0.3) / 0.7
+    check_grad(lambda: weighted_sum(T.residual(x, y, keep), np.random.default_rng(9)), [x, y])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fd_embed_repeated_ids_from_a_later_start(seed):
+    rng = np.random.default_rng(seed)
+    tok = rand_param(rng, 7, 4)
+    pos = rand_param(rng, 6, 4)
+    ids = np.array([[1, 3, 1], [3, 3, 0]])
+    keep = (rng.random((6, 4)) >= 0.3) / 0.7
+    make_loss = lambda: weighted_sum(T.embed(tok, pos, ids, 2, 1.7, keep), np.random.default_rng(9))
+    check_grad(make_loss, [tok, pos])
+
+
+def test_fused_primitives_reject_shapes_they_cannot_take():
+    rng = np.random.default_rng(0)
+    x, w, b = rand_param(rng, 6, 4), rand_param(rng, 4, 6), rand_param(rng, 6)
+    with pytest.raises(T.ShapeError):
+        T.heads(x, w, b, 4, 3)  # 6 rows do not split into 4 sentences
+    q, k_t, v = rand_param(rng, 1, 2, 3, 4), rand_param(rng, 1, 2, 4, 5), rand_param(rng, 1, 2, 5, 4)
+    with pytest.raises(T.ShapeError):
+        T.attention(q, k_t, v, np.zeros((2, 5), dtype=bool))
+    with pytest.raises(T.ShapeError):
+        T.attention(q, v, k_t)
+    with pytest.raises(T.ShapeError):
+        T.embed(rand_param(rng, 7, 4), rand_param(rng, 6, 4), np.array([[1, 2, 3]]), 4, 1.0)
+    with pytest.raises(T.ShapeError):
+        T.embed(rand_param(rng, 7, 4), rand_param(rng, 6, 4), np.array([[1, 7]]), 0, 1.0)
+    with pytest.raises(T.ShapeError):
+        T.residual(x, rand_param(rng, 6, 4), np.ones((6, 3)))
+
+
+def test_attention_raises_on_a_minus_inf_score_at_an_unmasked_key():
+    q = T.Tensor(np.array([1.0, 0.0], np.float32).reshape(1, 1, 1, 2))
+    k_t = T.Tensor(np.array([[-np.inf, 1.0], [0.0, 0.0]], np.float32).reshape(1, 1, 2, 2))
+    v = T.Tensor(np.ones((1, 1, 2, 2), np.float32))
+    # the key's weight is 0, so the output alone is finite
+    assert np.isfinite(T.ArrayOps.attention(q.data, k_t.data, v.data)).all()
+    with pytest.raises(T.NonFiniteError, match="scores"):
+        T.attention(q, k_t, v)
+
+
+def test_feed_forward_raises_on_a_minus_inf_pre_activation():
+    x = T.Tensor(np.array([[1.0, 0.0]], np.float32))
+    w1 = T.Tensor(np.array([[-np.inf], [0.0]], np.float32))
+    b1 = T.Tensor(np.zeros(1, np.float32))
+    w2 = T.Tensor(np.ones((1, 2), np.float32))
+    b2 = T.Tensor(np.zeros(2, np.float32))
+    # relu(-inf) is 0, so the output alone is finite
+    assert np.isfinite(T.ArrayOps.feed_forward(x.data, w1.data, b1.data, w2.data, b2.data)).all()
+    with pytest.raises(T.NonFiniteError, match="pre-activation"):
+        T.feed_forward(x, w1, b1, w2, b2)
+
+
+def test_backward_raises_on_an_overflowing_fused_gradient_before_any_update():
+    # the forward pass is finite; the input gradient is about 1e30 * 1e30
+    f32 = np.float32
+    x = T.Tensor(np.full((2, 3), 1e-30, f32), requires_grad=True)
+    w1 = T.Tensor(np.full((3, 4), 1e30, f32), requires_grad=True)
+    b1 = T.Tensor(np.zeros(4, f32), requires_grad=True)
+    w2 = T.Tensor(np.full((4, 2), 1e30, f32), requires_grad=True)
+    b2 = T.Tensor(np.zeros(2, f32), requires_grad=True)
+    params = {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
+    before = {n: p.data.tobytes() for n, p in params.items()}
+    loss = T.tsum(T.feed_forward(x, w1, b1, w2, b2))
+    assert np.isfinite(loss.item())
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="backward"):
+        T.backward(loss)
+        T.adam_step(params, T.AdamState())
+    assert {n: p.data.tobytes() for n, p in params.items()} == before
+
+
+# ---------------------------------------------------------------------------
+# exact replacements of slow reductions
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_row_max_equals_maximum_reduce_including_nan_rows(seed, shape, dtype):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape).astype(dtype)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0], dtype=dtype)
+    hit = rng.random(shape) < 0.15
+    a[hit] = rng.choice(specials, size=int(hit.sum()))
+    got = T.row_max(a)
+    want = np.maximum.reduce(a, axis=-1, keepdims=True)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_embed_table_gradients_equal_the_two_dimensional_scatter(seed, rows, length, start, dropout):
+    rng = np.random.default_rng(seed)
+    v, n_pos, d = 5, 8, 3
+    tok = T.Tensor(rng.standard_normal((v, d)), requires_grad=True, dtype=np.float32)
+    pos = T.Tensor(rng.standard_normal((n_pos, d)), requires_grad=True, dtype=np.float32)
+    ids = rng.integers(0, v, size=(rows, length))  # small vocabulary: ids repeat
+    keep = ((rng.random((rows * length, d)) >= 0.5) * 2.0).astype(np.float32) if dropout else None
+    g = rng.standard_normal((rows * length, d)).astype(np.float32)
+    g[rng.random(g.shape) < 0.2] = -0.0
+    T.backward(T.tsum(T.mul(T.embed(tok, pos, ids, start, 1.3, keep), T.Tensor(g))))
+
+    # the gradient the chain embedding(tok) + embedding(pos) -> scale -> dropout pushes
+    gx = (g if keep is None else g * keep) * 1.3
+    want_tok = np.zeros_like(tok.data)
+    np.add.at(want_tok, ids.ravel(), gx)
+    want_pos = np.zeros_like(pos.data)
+    np.add.at(want_pos, np.broadcast_to(np.arange(start, start + length), (rows, length)).ravel(), gx)
+    assert tok.grad.tobytes() == want_tok.tobytes()
+    assert pos.grad.tobytes() == want_pos.tobytes()

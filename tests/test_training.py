@@ -234,20 +234,48 @@ def test_train_restores_requires_grad_on_return_divergence_and_error():
     assert not ck.provenance["diverged"]
     assert requires_grad_flags(model) == flags
 
-    ck = train(
-        model, corpus, val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0,
-        frozen_groups=frozen,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the divergence overflows on purpose
+        ck = train(
+            model, corpus, val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0,
+            frozen_groups=frozen,
+        )
     assert ck.provenance["diverged"]
     assert requires_grad_flags(model) == flags
 
-    # one pair is longer than max_len: the forward pass of its batch raises
+    # the third forward pass raises
+    calls = []
+    forward_loss = model.forward_loss
+
+    def failing_forward_loss(batch, adapter=None):
+        calls.append(batch)
+        if len(calls) == 3:
+            raise ModelError("injected failure")
+        return forward_loss(batch, adapter=adapter)
+
+    model.forward_loss = failing_forward_loss
+    with pytest.raises(ModelError, match="injected"):
+        train(model, corpus, val, quick_schedule(), seed=0, frozen_groups=frozen)
+    assert len(calls) == 3
+    assert requires_grad_flags(model) == flags
+
+
+def test_pairs_longer_than_max_len_are_skipped_and_training_completes():
+    corpus = word_corpus(WORDS_S, WORDS_P, 30, seed=7)
+    val = word_corpus(WORDS_S, WORDS_P, 8, seed=8)
     too_long = ParallelCorpus(
         pairs=corpus.pairs + [(["s1"] * 20, ["p1"] * 3)], src_lang="src", tgt_lang="piv"
     )
-    with pytest.raises(ModelError, match="max_len"):
-        train(model, too_long, val, quick_schedule(), seed=0, frozen_groups=frozen)
-    assert requires_grad_flags(model) == flags
+    sv = vocab_of([s for s, _ in too_long.pairs])
+    tv = vocab_of([t for _, t in too_long.pairs])
+    model = init_params(tiny_cfg(), sv, tv, seed=0)
+    assert model.config.max_len == 16
+    stream = make_batches(too_long, sv, tv, 64, seed=0, max_len=model.config.max_len)
+    assert stream.skipped_over_length == 1
+    assert sum(b.n_pairs for b in stream.batches) == len(corpus.pairs)
+    # the budget alone lets the 21-token source through
+    assert make_batches(too_long, sv, tv, 64, seed=0).skipped_over_length == 0
+    ck = train(model, too_long, too_long, quick_schedule(max_updates=20), seed=0)
+    assert ck.provenance["updates"] == 20 and not ck.provenance["diverged"]
 
 
 def test_train_rejects_a_frozen_set_that_is_unknown_or_leaves_nothing():
@@ -294,7 +322,8 @@ def test_divergence_aborts_with_last_good_checkpoint():
     sv = vocab_of([s for s, _ in corpus.pairs])
     tv = vocab_of([t for _, t in corpus.pairs])
     model = init_params(tiny_cfg(dtype="float32"), sv, tv, seed=0)
-    ck = train(model, corpus, val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the divergence overflows on purpose
+        ck = train(model, corpus, val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0)
     assert ck.provenance["diverged"]
     assert all(np.all(np.isfinite(a)) for a in ck.params.values())
 
