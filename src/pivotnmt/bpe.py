@@ -174,6 +174,7 @@ class Vocabulary:
     tokens: list[str]
     n_special: int
     _ids: dict = field(default_factory=dict, repr=False)
+    _hash: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.tokens)) != len(self.tokens):
@@ -182,6 +183,11 @@ class Vocabulary:
         for sp in CORE_SPECIALS:
             if sp not in self._ids:
                 raise BpeError(f"vocabulary missing special token {sp}")
+        h = hashlib.sha256()
+        for t in self.tokens:
+            h.update(t.encode("utf-8"))
+            h.update(b"\n")
+        self._hash = h.hexdigest()
 
     def __len__(self):
         return len(self.tokens)
@@ -223,11 +229,9 @@ class Vocabulary:
         return [self.tokens[i] for i in ids]
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for t in self.tokens:
-            h.update(t.encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
+        """SHA-256 of the tokens, computed once: like the id map, it treats
+        the tokens as fixed after construction."""
+        return self._hash
 
     def save(self, path):
         header = f"# pivotnmt vocab: {self.n_special} specials on lines 0..{self.n_special - 1}"

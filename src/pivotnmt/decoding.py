@@ -13,9 +13,12 @@ keeps its bookkeeping in arrays with one entry per row: the sentence, the
 token ids so far and the log-probability. After a step it picks each row's k
 best tokens with `argpartition`, sorts each sentence's candidates by score
 (stably, so ties keep row order and then argpartition order) and keeps the
-k best. The rows of the hypotheses that survive, a parent row once per
-child, are gathered with one `DecodeState.reorder` and one take of the id
-array. `Hypothesis` objects are made only for finished hypotheses.
+k best; at beam size 1 each sentence has one row, so each row keeps its
+best token with no sort. The rows of the hypotheses that survive, a parent
+row once per child, are gathered with one `DecodeState.reorder` and one take
+of the id array, skipped when the parents are the rows in order (every
+greedy step on which no sentence ends). `Hypothesis` objects are made only
+for finished hypotheses.
 
 A sentence stops early, when alpha == 0, as soon as its best completed
 hypothesis scores at least as high as its best live one. That is exact:
@@ -130,14 +133,19 @@ def beam_search_batch(
         # each row's k best tokens, then each sentence's k best candidates: the
         # sort is stable, so ties keep row order, then argpartition order
         top = (-logp).argpartition(min(k, logp.shape[1] - 1), axis=1)[:, :k]
-        width = top.shape[1]
-        cand = (score[:, None] + logp[np.arange(sent.size)[:, None], top]).ravel()
-        cand_sent = sent.repeat(width)
-        order = np.lexsort((-cand, cand_sent))
-        s = cand_sent[order]
-        keep = np.arange(s.size) - s.searchsorted(s) < k
-        order, s = order[keep], s[keep]
-        parent, tok, new_score = order // width, top.ravel()[order], cand[order]
+        rows = np.arange(sent.size)
+        cand = (score[:, None] + logp[rows[:, None], top]).ravel()
+        if k == 1:
+            # one row per sentence, already in order: each row keeps its token
+            parent, s, tok, new_score = rows, sent, top.ravel(), cand
+        else:
+            width = top.shape[1]
+            cand_sent = sent.repeat(width)
+            order = np.lexsort((-cand, cand_sent))
+            s = cand_sent[order]
+            keep = np.arange(s.size) - s.searchsorted(s) < k
+            order, s = order[keep], s[keep]
+            parent, tok, new_score = order // width, top.ravel()[order], cand[order]
 
         eos = tok == tv.eos_id
         ended = eos | (hyp.shape[1] + 1 >= caps[s])
@@ -159,9 +167,12 @@ def beam_search_batch(
             stop[live_sent[first]] = best_done[live_sent[first]] >= new_score[live[first]]
             live = live[~stop[live_sent]]
         sent, score, tokens = s[live], new_score[live], tok[live, None]
-        hyp = np.concatenate((hyp.take(parent[live], axis=0), tokens), axis=1)
-        if sent.size:
-            state.reorder(parent[live])
+        parent = parent[live]
+        if not (parent.size == rows.size and (parent == rows).all()):
+            hyp = hyp.take(parent, axis=0)
+            if sent.size:
+                state.reorder(parent)
+        hyp = np.concatenate((hyp, tokens), axis=1)
 
     for r, i in enumerate(live_idx):
         pool = finished[r]

@@ -23,19 +23,29 @@ its output once for NaN/Inf (the encoder memory, padding positions included,
 and the logits), and its results equal the tape path's bit for bit: the two
 paths run the same kernels on the same memory layouts.
 
+Parameters are bound once per call: `forward_loss`, `encode`,
+`decode_states`, `output_logits` and `start_decode` look up each layer's
+parameters when they start (`_bind`, through a name index built with the
+model) and the layer sequence reads them from that dict. Surgery and
+checkpoint loading replace `.data`, so the next call sees the new arrays.
+
 Training and scoring run the decoder over whole target prefixes
 (`decode_states`). Decoding runs it one position at a time:
 `start_decode` projects every sentence's encoder memory into each layer's
 cross-attention keys and values once, and each `step_logits` call feeds one
 token per row, appends that position's self-attention key and value per
 layer to the `DecodeState` and returns the logits of that position only.
-A beam search that keeps, drops or duplicates rows between steps reorders
-the whole state with `DecodeState.reorder`, one gather per cached array.
+The decode runs on the weights the model had at `start_decode`: the state
+keeps the decoder's bound arrays, the tied output projection's transposed
+copy included. A beam search that keeps, drops or duplicates rows between
+steps reorders the whole state with `DecodeState.reorder`, one gather per
+cached array.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -60,6 +70,9 @@ class DecodeState:
       cross_k[i] (rows, heads, dh, Ls)      projected encoder memory, transposed
       cross_v[i] (rows, heads, Ls, dh)
     src_pad (rows, Ls) is True at source padding; length counts fed positions.
+    weights holds the decoder's parameter arrays as `start_decode` bound them
+    (see `Seq2SeqModel._decoder_weights`); None binds the model's current ones
+    at every step.
     """
 
     self_k: list
@@ -68,6 +81,7 @@ class DecodeState:
     cross_v: list
     src_pad: np.ndarray
     length: int = 0
+    weights: tuple | None = None
 
     @property
     def rows(self) -> int:
@@ -204,6 +218,12 @@ class Seq2SeqModel:
         self.params = params
         self._train_mode = False
         self._rng = np.random.default_rng(0)
+        # layer ("decoder/l0") or group -> (rest of name, name) of its
+        # parameters; a name with no layer part belongs to its group
+        self._index: dict = {}
+        for name in params:
+            prefix, rest = re.match(r"(\w+/l\d+|\w+)/(.+)", name).groups()
+            self._index.setdefault(prefix, []).append((rest, name))
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -248,9 +268,21 @@ class Seq2SeqModel:
         """A tape leaf as `ops` takes it: the Tensor, or its array."""
         return t if ops is T else t.data
 
-    def _p(self, ops, name):
-        # read at call time: surgery and checkpoint loading replace `.data`
-        return self._leaf(ops, self.params[name])
+    def _bind(self, ops, prefix) -> dict:
+        """The parameters of a layer or group as `ops` takes them, keyed by
+        the rest of their names. Bound once per call: surgery and checkpoint
+        loading replace `.data`, and the next call sees the new arrays."""
+        params = self.params
+        if ops is T:
+            return {rest: params[name] for rest, name in self._index[prefix]}
+        return {rest: params[name].data for rest, name in self._index[prefix]}
+
+    def _stack(self, ops, side) -> tuple:
+        """(embeddings, per-layer, final-norm) bound parameters of the
+        "encoder" or "decoder" side."""
+        embed = self._bind(ops, "src_embed" if side == "encoder" else "tgt_embed")
+        layers = [self._bind(ops, f"{side}/l{i}") for i in range(self.config.layers)]
+        return embed, layers, self._bind(ops, side)
 
     def _keep(self, shape):
         """Dropout keep-mask for an activation of `shape` (entries 0 or
@@ -262,7 +294,7 @@ class Seq2SeqModel:
         keep *= 1.0 / (1.0 - p)
         return keep
 
-    def _embed(self, ops, ids: np.ndarray, side: str, start: int = 0):
+    def _embed(self, ops, w, ids: np.ndarray, start: int = 0):
         """Scaled token plus position embeddings of ids (b, length) at positions start, ..."""
         b, length = ids.shape
         if start + length > self.config.max_len:
@@ -270,22 +302,19 @@ class Seq2SeqModel:
                 f"sequence length {start + length} exceeds max_len {self.config.max_len}"
             )
         d = self.config.model_dim
-        tok, pos = self._p(ops, f"{side}/tok"), self._p(ops, f"{side}/pos")
-        return ops.embed(tok, pos, ids, start, math.sqrt(d), self._keep((b * length, d)))
+        return ops.embed(w["tok"], w["pos"], ids, start, math.sqrt(d), self._keep((b * length, d)))
 
-    def _heads(self, ops, name, x, rows, keys=False):
+    def _heads(self, ops, w, name, x, rows, keys=False):
         """Rows x projected with `name`, split into heads (`T.heads`)."""
-        w, bias = self._p(ops, f"{name}/w"), self._p(ops, f"{name}/b")
-        return ops.heads(x, w, bias, rows, self.config.heads, keys)
+        return ops.heads(x, w[name + "/w"], w[name + "/b"], rows, self.config.heads, keys)
 
-    def _kv(self, ops, prefix, x, rows):
+    def _kv(self, ops, w, name, x, rows):
         """Keys (rows, h, dh, length), transposed for the score product, and values (rows, h, length, dh)."""
-        return self._heads(ops, f"{prefix}/wk", x, rows, keys=True), self._heads(ops, f"{prefix}/wv", x, rows)
+        return self._heads(ops, w, name + "/wk", x, rows, keys=True), self._heads(ops, w, name + "/wv", x, rows)
 
-    def _attend(self, ops, prefix, q, k_t, v, mask):
+    def _attend(self, ops, w, name, q, k_t, v, mask):
         """Attention of q over keys k_t and values v, then the output projection."""
-        ctx = ops.attention(q, k_t, v, mask)
-        return ops.affine(ctx, self._p(ops, f"{prefix}/wo/w"), self._p(ops, f"{prefix}/wo/b"))
+        return ops.affine(ops.attention(q, k_t, v, mask), w[name + "/wo/w"], w[name + "/wo/b"])
 
     @staticmethod
     def _attention_mask(blocked: np.ndarray):
@@ -293,12 +322,13 @@ class Seq2SeqModel:
         nothing: filling no entry changes no value and no gradient."""
         return blocked if blocked.any() else None
 
-    def _norm(self, ops, name, x):
-        return ops.layer_norm(x, self._p(ops, f"{name}/gain"), self._p(ops, f"{name}/bias"))
+    @staticmethod
+    def _norm(ops, w, name, x):
+        return ops.layer_norm(x, w[name + "/gain"], w[name + "/bias"])
 
-    def _ff(self, ops, prefix, x):
-        w = [self._p(ops, f"{prefix}/{name}") for name in ("w1/w", "w1/b", "w2/w", "w2/b")]
-        return ops.feed_forward(x, *w)
+    @staticmethod
+    def _ff(ops, w, x):
+        return ops.feed_forward(x, w["ff/w1/w"], w["ff/w1/b"], w["ff/w2/w"], w["ff/w2/b"])
 
     def _residual(self, ops, x, y):
         """The stream x plus the sublayer output y after dropout."""
@@ -314,17 +344,17 @@ class Seq2SeqModel:
         if src_ids.size and (src_ids.min() < 0 or src_ids.max() >= len(self.src_vocab)):
             raise ModelError("source id out of vocabulary range")
         b = src_ids.shape[0]
+        embed, layers, final = self._stack(ops, "encoder")
         mask = self._attention_mask((src_ids == self.src_vocab.pad_id)[:, None, None, :])
-        x = self._embed(ops, src_ids, "src_embed")
-        for i in range(self.config.layers):
-            p = f"encoder/l{i}"
-            h = self._norm(ops, f"{p}/attn_norm", x)
-            q = self._heads(ops, f"{p}/attn/wq", h, b)
-            k_t, v = self._kv(ops, f"{p}/attn", h, b)
-            x = self._residual(ops, x, self._attend(ops, f"{p}/attn", q, k_t, v, mask))
-            h = self._norm(ops, f"{p}/ff_norm", x)
-            x = self._residual(ops, x, self._ff(ops, f"{p}/ff", h))
-        x = self._norm(ops, "encoder/final_norm", x)
+        x = self._embed(ops, embed, src_ids)
+        for w in layers:
+            h = self._norm(ops, w, "attn_norm", x)
+            q = self._heads(ops, w, "attn/wq", h, b)
+            k_t, v = self._kv(ops, w, "attn", h, b)
+            x = self._residual(ops, x, self._attend(ops, w, "attn", q, k_t, v, mask))
+            h = self._norm(ops, w, "ff_norm", x)
+            x = self._residual(ops, x, self._ff(ops, w, h))
+        x = self._norm(ops, final, "final_norm", x)
         if adapter is not None:
             m = self._leaf(ops, adapter.as_tensor(x.dtype))
             d = self.config.model_dim
@@ -344,66 +374,72 @@ class Seq2SeqModel:
         x = ops.reshape(x, np.shape(src_ids) + (self.config.model_dim,))
         return x if tape else T.check_finite("encode", x)
 
-    def _cross_kv(self, ops, memory, rows) -> list:
-        """Per decoder layer, the cross-attention (keys, values) of memory (rows * Ls, d)."""
-        return [
-            self._kv(ops, f"decoder/l{i}/cross_attn", memory, rows)
-            for i in range(self.config.layers)
-        ]
+    def _out_weight(self, ops):
+        """The (d, V) output projection: for a tied one the token table
+        transposed (on arrays, a contiguous copy)."""
+        if self.config.tied_output_embedding:
+            return ops.transpose(self._bind(ops, "tgt_embed")["tok"])
+        return self._bind(ops, "output_proj")["w"]
 
-    def _decoder(self, ops, ids, cross, src_pad, cache=None):
+    def _decoder_weights(self, ops) -> tuple:
+        """(embeddings, per-layer, final norm, output projection) of the
+        decoder, bound for one call."""
+        return (*self._stack(ops, "decoder"), self._out_weight(ops))
+
+    def _cross_kv(self, ops, layers, memory, rows) -> list:
+        """Per decoder layer, the cross-attention (keys, values) of memory (rows * Ls, d)."""
+        return [self._kv(ops, w, "cross_attn", memory, rows) for w in layers]
+
+    def _decoder(self, ops, weights, ids, cross, src_pad, cache=None):
         """Final-norm decoder states (b * lt, d) of target ids (b, lt).
 
-        `cross` holds each layer's (keys, values) from `_cross_kv`; src_pad
-        (b, Ls) is True at source padding. Without `cache` the ids are whole
-        prefixes from position 0. With a `DecodeState` (plain arrays only) they
-        are the positions after `cache.length`: each layer appends their
-        self-attention keys and values to the cache and attends over all of it.
+        `weights` starts with the bound (embeddings, per-layer, final norm)
+        of `_stack`, `cross` holds each layer's (keys, values) from
+        `_cross_kv`; src_pad (b, Ls) is True at source padding. Without
+        `cache` the ids are whole prefixes from position 0. With a
+        `DecodeState` (plain arrays only) they are the positions after
+        `cache.length`: each layer appends their self-attention keys and
+        values to the cache and attends over all of it.
         """
         if ids.size and (ids.min() < 0 or ids.max() >= len(self.tgt_vocab)):
             raise ModelError("target id out of vocabulary range")
         b, lt = ids.shape
         start = 0 if cache is None else cache.length
-        # query start + i sees keys 0 .. start + i
-        self_mask = self._attention_mask(np.arange(start + lt) > np.arange(start, start + lt)[:, None])
+        embed, layers, final = weights[:3]
+        # query start + i sees keys 0 .. start + i, so a single query sees all
+        self_mask = None if lt == 1 else self._attention_mask(
+            np.arange(start + lt) > np.arange(start, start + lt)[:, None]
+        )
         cross_mask = self._attention_mask(src_pad[:, None, None, :])
-        x = self._embed(ops, ids, "tgt_embed", start)
-        for i, (cross_k, cross_v) in enumerate(cross):
-            p = f"decoder/l{i}"
-            h = self._norm(ops, f"{p}/self_norm", x)
-            q = self._heads(ops, f"{p}/self_attn/wq", h, b)
-            k_t, v = self._kv(ops, f"{p}/self_attn", h, b)
+        x = self._embed(ops, embed, ids, start)
+        for i, (w, (cross_k, cross_v)) in enumerate(zip(layers, cross)):
+            h = self._norm(ops, w, "self_norm", x)
+            q = self._heads(ops, w, "self_attn/wq", h, b)
+            k_t, v = self._kv(ops, w, "self_attn", h, b)
             if cache is not None:
                 k_t = cache.self_k[i] = np.concatenate((cache.self_k[i], k_t), axis=3)
                 v = cache.self_v[i] = np.concatenate((cache.self_v[i], v), axis=2)
-            x = self._residual(ops, x, self._attend(ops, f"{p}/self_attn", q, k_t, v, self_mask))
-            h = self._norm(ops, f"{p}/cross_norm", x)
-            q = self._heads(ops, f"{p}/cross_attn/wq", h, b)
-            x = self._residual(ops, x, self._attend(ops, f"{p}/cross_attn", q, cross_k, cross_v, cross_mask))
-            h = self._norm(ops, f"{p}/ff_norm", x)
-            x = self._residual(ops, x, self._ff(ops, f"{p}/ff", h))
+            x = self._residual(ops, x, self._attend(ops, w, "self_attn", q, k_t, v, self_mask))
+            h = self._norm(ops, w, "cross_norm", x)
+            q = self._heads(ops, w, "cross_attn/wq", h, b)
+            x = self._residual(ops, x, self._attend(ops, w, "cross_attn", q, cross_k, cross_v, cross_mask))
+            h = self._norm(ops, w, "ff_norm", x)
+            x = self._residual(ops, x, self._ff(ops, w, h))
         if cache is not None:
             cache.length = start + lt
-        return self._norm(ops, "decoder/final_norm", x)
+        return self._norm(ops, final, "final_norm", x)
 
     def decode_states(self, tgt_in_ids: np.ndarray, memory, src_ids: np.ndarray, tape: bool = True):
         """Decoder states (B, Lt, d) of whole target prefixes over `memory`
         (B, Ls, d) (a Tensor, or with tape=False a plain array)."""
         tgt_in_ids = np.asarray(tgt_in_ids)
         ops = self._ops(tape)
+        weights = self._stack(ops, "decoder")
         b, ls, d = memory.shape
-        cross = self._cross_kv(ops, ops.reshape(memory, (b * ls, d)), b)
+        cross = self._cross_kv(ops, weights[1], ops.reshape(memory, (b * ls, d)), b)
         src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
-        states = self._decoder(ops, tgt_in_ids, cross, src_pad)
+        states = self._decoder(ops, weights, tgt_in_ids, cross, src_pad)
         return ops.reshape(states, tgt_in_ids.shape + (d,))
-
-    def _logits(self, ops, states):
-        """Vocabulary logits of decoder states (positions, d)."""
-        if self.config.tied_output_embedding:
-            w = ops.transpose(self._p(ops, "tgt_embed/tok"))
-        else:
-            w = self._p(ops, "output_proj/w")
-        return ops.matmul(states, w)
 
     def output_logits(self, dec_states, tape: bool = True):
         """Vocabulary logits (positions, V) of decoder states (..., d).
@@ -411,7 +447,7 @@ class Seq2SeqModel:
         With tape=False the result is a plain array, checked once for NaN/Inf.
         """
         ops = self._ops(tape)
-        logits = self._logits(ops, ops.reshape(dec_states, (-1, self.config.model_dim)))
+        logits = ops.matmul(ops.reshape(dec_states, (-1, self.config.model_dim)), self._out_weight(ops))
         return logits if tape else T.check_finite("output logits", logits)
 
     def decoder_input(self, tgt_ids: np.ndarray) -> np.ndarray:
@@ -434,9 +470,10 @@ class Seq2SeqModel:
             memory = self._encoder(T, batch.src, adapter)
         else:
             memory = T.Tensor(T.check_finite("encode", self._encoder(T.ArrayOps, batch.src, adapter)))
-        cross = self._cross_kv(T, memory, tgt.shape[0])
+        dec = self._decoder_weights(T)
+        cross = self._cross_kv(T, dec[1], memory, tgt.shape[0])
         src_pad = batch.src == self.src_vocab.pad_id
-        logits = self._logits(T, self._decoder(T, self.decoder_input(tgt), cross, src_pad))
+        logits = T.matmul(self._decoder(T, dec, self.decoder_input(tgt), cross, src_pad), dec[3])
         return T.cross_entropy_logits(
             logits, tgt.ravel(), weights, label_smoothing=self.config.label_smoothing
         )
@@ -475,13 +512,15 @@ class Seq2SeqModel:
         h = self.config.heads
         dh = d // h
         layers = self.config.layers
-        cross = self._cross_kv(T.ArrayOps, memory.reshape(b * ls, d), b)
+        weights = self._decoder_weights(T.ArrayOps)
+        cross = self._cross_kv(T.ArrayOps, weights[1], memory.reshape(b * ls, d), b)
         return DecodeState(
             self_k=[np.zeros((b, h, dh, 0), dtype=memory.dtype)] * layers,
             self_v=[np.zeros((b, h, 0, dh), dtype=memory.dtype)] * layers,
             cross_k=[k for k, _ in cross],
             cross_v=[v for _, v in cross],
             src_pad=src_pad,
+            weights=weights,
         )
 
     def step_logits(self, ids: np.ndarray, state: DecodeState) -> np.ndarray:
@@ -495,9 +534,12 @@ class Seq2SeqModel:
         rows = state.rows
         if ids.shape != (rows, 1):
             raise ModelError(f"step ids must be ({rows}, 1), got {ids.shape}")
+        weights = state.weights
+        if weights is None:
+            weights = self._decoder_weights(T.ArrayOps)
         cross = zip(state.cross_k, state.cross_v)
-        states = self._decoder(T.ArrayOps, ids, cross, state.src_pad, cache=state)
-        return T.check_finite("output logits", self._logits(T.ArrayOps, states))
+        states = self._decoder(T.ArrayOps, weights, ids, cross, state.src_pad, cache=state)
+        return T.check_finite("output logits", states @ weights[3])
 
     # -- surgery helpers ----------------------------------------------------
 

@@ -111,12 +111,7 @@ class Tensor:
 
 def check_finite(op: str, data: np.ndarray) -> np.ndarray:
     """`data`, unless it holds a NaN or Inf: then raise `NonFiniteError`."""
-    # one pass over the data: any NaN/Inf entry makes the sum non-finite.
-    # Finite values can overflow the sum too, so a non-finite sum is
-    # confirmed entry by entry before raising.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.add.reduce(data, axis=None))
-    if not math.isfinite(total) and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: non-finite values in output")
     return data
 
@@ -195,8 +190,11 @@ def row_max(a: np.ndarray) -> np.ndarray:
 
     A reduction along a short last axis pays a per-row cost; on a copy with
     the axes reversed the same maxima come from one pass along the first
-    axis, many times faster for attention scores.
+    axis, many times faster for attention scores. The copy pays off only
+    for many rows, so the scores of a single query reduce in place.
     """
+    if a.ndim < 2 or a.shape[-2] == 1:
+        return np.maximum.reduce(a, axis=-1, keepdims=True)
     return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0).T[..., None]
 
 
@@ -233,13 +231,20 @@ def _scatter_rows(table, ids, g):
 
 def _split_heads(y, rows, heads, keys=False):
     """(rows * length, d) -> (rows, heads, length, d/heads), or for keys
-    (rows, heads, d/heads, length), as a contiguous array."""
-    y = y.reshape(rows, -1, heads, y.shape[1] // heads)
+    (rows, heads, d/heads, length), as a contiguous array. At one position
+    both layouts keep the memory order of y, so y is only reshaped (a view,
+    contiguous when y is)."""
+    dh = y.shape[1] // heads
+    if y.shape[0] == rows:
+        return y.reshape((rows, heads, dh, 1) if keys else (rows, heads, 1, dh))
+    y = y.reshape(rows, -1, heads, dh)
     return np.ascontiguousarray(y.transpose((0, 2, 3, 1) if keys else (0, 2, 1, 3)))
 
 
 def _merge_heads(a, keys=False):
     """The inverse of `_split_heads`: back to (rows * length, d)."""
+    if a.shape[3 if keys else 2] == 1:
+        return a.reshape(a.shape[0], -1)
     a = np.ascontiguousarray(a.transpose((0, 3, 1, 2) if keys else (0, 2, 1, 3)))
     return a.reshape(a.shape[0] * a.shape[1], -1)
 

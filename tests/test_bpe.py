@@ -1,5 +1,7 @@
 """BPE learning/application and vocabulary construction."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,21 @@ def test_vocab_round_trip_bit_exact(tmp_path):
     assert loaded.tokens == vocab.tokens
     assert loaded.content_hash() == vocab.content_hash()
     assert loaded.pad_id == vocab.pad_id == 0
+
+
+def test_vocab_hash_is_stored_and_equals_a_fresh_sha256(tmp_path):
+    vocab = bpe.build_vocab([[["tok1", "é", "tok2"]]], language_tags=("tgt",))
+
+    def fresh(v):
+        return hashlib.sha256("".join(t + "\n" for t in v.tokens).encode("utf-8")).hexdigest()
+
+    assert vocab.content_hash() == fresh(vocab)
+    assert vocab.content_hash() is vocab.content_hash()  # computed once, not per call
+    vocab.save(tmp_path / "v.vocab")
+    loaded = bpe.Vocabulary.load(tmp_path / "v.vocab")
+    assert loaded.content_hash() == fresh(loaded) == vocab.content_hash()
+    other = bpe.build_vocab([[["tok1", "tok3"]]], language_tags=("tgt",))
+    assert other.content_hash() == fresh(other) != vocab.content_hash()
 
 
 @settings(max_examples=50, deadline=None)

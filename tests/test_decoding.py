@@ -21,7 +21,7 @@ from pivotnmt.decoding import (
     translate_side,
     translate_tokens,
 )
-from pivotnmt.model import ModelConfig, Seq2SeqModel, init_params
+from pivotnmt.model import DecodeState, ModelConfig, Seq2SeqModel, init_params
 from pivotnmt.training import TrainSchedule, model_of, train
 
 
@@ -486,3 +486,25 @@ def test_translate_side_needs_the_language_on_one_side(pivot_chain, langs):
     corpus = ParallelCorpus(pairs=corpus1.pairs[:2], src_lang=langs[0], tgt_lang=langs[1])
     with pytest.raises(DecodeError):
         translate_side(corpus, m2, BeamConfig(), "piv", "tgt")
+
+
+def test_greedy_decode_of_one_sentence_never_reorders(copy_model, monkeypatch):
+    model, corpus = copy_model
+    reorders = []
+    reorder = DecodeState.reorder
+
+    def counting(self, parents):
+        reorders.append(list(parents))
+        reorder(self, parents)
+
+    monkeypatch.setattr(DecodeState, "reorder", counting)
+    cfg = BeamConfig(beam_size=1)
+    for one in source_ids(model, [s for s, _ in corpus.pairs[:12]]):
+        hyps = beam_search_batch(model, [one], cfg)
+        assert reorders == []  # every surviving parent is its own row
+        assert_same_hypotheses(hyps, reference_beam_search(model, [one], cfg))
+    # in a batch, a greedy step reorders only when a sentence ends
+    ids = source_ids(model, [s for s, _ in corpus.pairs[:12]])
+    hyps = beam_search_batch(model, ids, cfg)
+    assert_same_hypotheses(hyps, reference_beam_search(model, ids, cfg))
+    assert 0 < len(reorders) < len(ids)

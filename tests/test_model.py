@@ -547,6 +547,49 @@ def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
     assert state.length == ref.length == 5
 
 
+def test_a_decode_state_without_weights_steps_like_one_from_start_decode():
+    model = tiny_model(dtype="float32", layers=2)
+    rng = np.random.default_rng(17)
+    tv = model.tgt_vocab
+    src = padded_source(model, rng)
+    memory = model.encode(src, tape=False)
+    bound = model.start_decode(memory, src)
+    unbound = reference_start_decode(model, memory, src)  # built by hand: no weights
+    assert bound.weights is not None and unbound.weights is None
+    ids = np.full((3, 1), tv.bos_id)
+    for parents in [None, [0, 0, 2], [2, 0, 1, 1], [3, 1]]:
+        if parents is not None:
+            bound.reorder(parents)
+            unbound.reorder(parents)
+            ids = rng.integers(tv.n_special, len(tv), size=(len(parents), 1))
+        assert model.step_logits(ids, bound).tobytes() == model.step_logits(ids, unbound).tobytes()
+        for a, b in zip(bound.self_k + bound.self_v, unbound.self_k + unbound.self_v):
+            assert a.tobytes() == b.tobytes()
+    assert unbound.weights is None
+
+
+def test_decode_after_load_param_arrays_uses_the_loaded_weights():
+    model = tiny_model(seed=0, dtype="float32", layers=2)
+    donor = tiny_model(seed=1, dtype="float32", layers=2)
+    rng = np.random.default_rng(19)
+    src = padded_source(model, rng)
+    bos = np.full((3, 1), model.tgt_vocab.bos_id)
+    started = model.start_decode(model.encode(src, tape=False), src)
+    old = tiny_model(seed=0, dtype="float32", layers=2)
+    old_state = old.start_decode(old.encode(src, tape=False), src)
+
+    model.load_param_arrays(donor.clone_params())
+    state = model.start_decode(model.encode(src, tape=False), src)
+    donor_state = donor.start_decode(donor.encode(src, tape=False), src)
+    assert model.step_logits(bos, state).tobytes() == donor.step_logits(bos, donor_state).tobytes()
+    ids = [list(row[row != model.src_vocab.pad_id]) for row in src]
+    cfg = BeamConfig(beam_size=2, max_length_constant=4)
+    for got, want in zip(beam_search_batch(model, ids, cfg), beam_search_batch(donor, ids, cfg)):
+        assert (got.ids, got.logprob, got.completed) == (want.ids, want.logprob, want.completed)
+    # a decode started before the load runs on the weights it started with
+    assert model.step_logits(bos, started).tobytes() == old.step_logits(bos, old_state).tobytes()
+
+
 @pytest.mark.parametrize(
     "name, index, pooling_reads_it",
     [

@@ -516,3 +516,54 @@ def test_embed_table_gradients_equal_the_two_dimensional_scatter(seed, rows, len
     np.add.at(want_pos, np.broadcast_to(np.arange(start, start + length), (rows, length)).ravel(), gx)
     assert tok.grad.tobytes() == want_tok.tobytes()
     assert pos.grad.tobytes() == want_pos.tobytes()
+
+
+def transposing_split_heads(y, rows, heads, keys):
+    """`_split_heads` with no one-position shortcut: reshape, transpose, copy."""
+    y = y.reshape(rows, -1, heads, y.shape[1] // heads)
+    return np.ascontiguousarray(y.transpose((0, 2, 3, 1) if keys else (0, 2, 1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_one_position_head_split_and_merge_equal_the_transposing_path(seed, rows, heads, dh, keys, dtype):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((rows, heads * dh)).astype(dtype)
+    y[rng.random(y.shape) < 0.2] = -0.0
+    got = T._split_heads(y, rows, heads, keys)
+    want = transposing_split_heads(y, rows, heads, keys)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    merged = T._merge_heads(got, keys)
+    want_merged = np.ascontiguousarray(want.transpose((0, 3, 1, 2) if keys else (0, 2, 1, 3))).reshape(rows, -1)
+    assert merged.shape == y.shape and merged.flags.c_contiguous
+    assert merged.tobytes() == want_merged.tobytes() == y.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_single_query_row_max_equals_the_reversed_axes_copy(seed, rows, heads, keys, dtype):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, heads, 1, keys)).astype(dtype)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], dtype=dtype)
+    hit = rng.random(a.shape) < 0.3
+    a[hit] = rng.choice(specials, size=int(hit.sum()))
+    got = T.row_max(a)
+    want = np.maximum.reduce(np.ascontiguousarray(a.T), axis=0).T[..., None]
+    assert got.shape == want.shape == (rows, heads, 1, 1) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, np.maximum.reduce(a, axis=-1, keepdims=True), equal_nan=True)
