@@ -72,7 +72,7 @@ def _encode_pooled(model, sentences, mode: str, batch_size: int = 64) -> np.ndar
         mat = np.full((len(ids), width), vocab.pad_id, dtype=np.int64)
         for r, row in enumerate(ids):
             mat[r, : len(row)] = row
-        states = model.encode(mat, tape=False)
+        states = model.encode(mat)
         for r, row in enumerate(ids):
             pad = mat[r] == vocab.pad_id
             cols.append(pool_sentence(states[r], mode, pad_mask=pad))

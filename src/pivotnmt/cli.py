@@ -310,20 +310,30 @@ def cmd_transfer_init(args):
     return 0
 
 
+_SRC_PIV_FLAGS = ("src-piv-src", "src-piv-tgt", "src-piv-val-src", "src-piv-val-tgt")
+
+
 def cmd_stepwise(args):
     settings = _settings(args)
+    # the src-piv corpora train stage 1: a given stage 1 needs none
+    missing = [f"--{f}" for f in _SRC_PIV_FLAGS if getattr(args, f.replace("-", "_")) is None]
+    if args.stage1 is None and missing:
+        raise CliError("usage", f"without --stage1, stepwise needs {', '.join(missing)}")
     joint_vocab = _vocab(args.joint_vocab)
     piv_vocab = _vocab(args.piv_vocab)
     tgt_vocab = _vocab(args.tgt_vocab)
-    src_piv = (
-        _load_corpus(args.src_piv_src, args.src_piv_tgt, "src", "piv"),
-        _load_corpus(args.src_piv_val_src, args.src_piv_val_tgt, "src", "piv"),
-    )
     piv_tgt = (
         _load_corpus(args.piv_tgt_src, args.piv_tgt_tgt, "piv", "tgt"),
         _load_corpus(args.piv_tgt_val_src, args.piv_tgt_val_tgt, "piv", "tgt"),
     )
-    stage1 = Checkpoint.load(_require_file(args.stage1, "stage-1 checkpoint")) if args.stage1 else None
+    if args.stage1 is None:
+        stage1 = None
+        src_piv = (
+            _load_corpus(args.src_piv_src, args.src_piv_tgt, "src", "piv"),
+            _load_corpus(args.src_piv_val_src, args.src_piv_val_tgt, "src", "piv"),
+        )
+    else:
+        stage1, src_piv = Checkpoint.load(_require_file(args.stage1, "stage-1 checkpoint")), None
     ck = stepwise_pretrain(
         settings.model, joint_vocab, piv_vocab, tgt_vocab, src_piv, piv_tgt,
         settings.pretrain, seed=args.seed, stage1_ckpt=stage1,
@@ -608,10 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     for flag in (
         "joint-vocab", "piv-vocab", "tgt-vocab",
-        "src-piv-src", "src-piv-tgt", "src-piv-val-src", "src-piv-val-tgt",
         "piv-tgt-src", "piv-tgt-tgt", "piv-tgt-val-src", "piv-tgt-val-tgt",
     ):
         p.add_argument(f"--{flag}", required=True)
+    for flag in _SRC_PIV_FLAGS:
+        p.add_argument(f"--{flag}", help="stage-1 corpus, required without --stage1")
     p.add_argument("--stage1", default=None, help="existing stage-1 checkpoint")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stepwise)

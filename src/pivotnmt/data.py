@@ -221,26 +221,23 @@ def make_batches(
     max_tokens: int,
     seed: int,
     epoch: int = 0,
-    src_prefix: tuple = (),
     max_len: int | None = None,
 ) -> BatchStream:
     """One epoch of token-bucketed batches.
 
-    Source sequences become `src_prefix + tokens + eos`; targets become
-    `tokens + eos` (the training loop prepends bos for the decoder input).
-    Pairs whose encoded source or target exceeds max_tokens, or the model's
-    `max_len` when given, are skipped and counted.
+    Both sides become `tokens + eos` (the training loop prepends bos for
+    the decoder input). Pairs whose encoded source or target exceeds
+    max_tokens, or the model's `max_len` when given, are skipped and counted.
     """
     rng = np.random.default_rng([seed, epoch, 0x9E3779B9])
     pairs = corpus.epoch_pairs(rng)
     if not pairs:
         raise CorpusError("empty corpus")
-    prefix_ids = list(src_prefix)
     limit = max_tokens if max_len is None else min(max_tokens, max_len)
     encoded = []
     skipped = 0
     for s, t in pairs:
-        sid = prefix_ids + src_vocab.encode(s) + [src_vocab.eos_id]
+        sid = src_vocab.encode(s) + [src_vocab.eos_id]
         tid = tgt_vocab.encode(t) + [tgt_vocab.eos_id]
         if len(tid) > limit or len(sid) > limit:
             skipped += 1

@@ -5,20 +5,23 @@ across the batch share one decoder call. Hypotheses are ranked by
 length-normalized score (logprob / len^alpha; alpha=0 means raw logprob),
 and beam size 1 reduces exactly to greedy decoding.
 
-Decoding is incremental (see `model.DecodeState`) and runs on plain arrays,
-with no tape: the encoder memory is projected for cross-attention once per
-sentence, and each step feeds only the newest token of every live
-hypothesis. Each state row belongs to one live hypothesis, and the search
-keeps its bookkeeping in arrays with one entry per row: the sentence, the
-token ids so far and the log-probability. After a step it picks each row's k
-best tokens with `argpartition`, sorts each sentence's candidates by score
-(stably, so ties keep row order and then argpartition order) and keeps the
-k best; at beam size 1 each sentence has one row, so each row keeps its
-best token with no sort. The rows of the hypotheses that survive, a parent
-row once per child, are gathered with one `DecodeState.reorder` and one take
-of the id array, skipped when the parents are the rows in order (every
-greedy step on which no sentence ends). `Hypothesis` objects are made only
-for finished hypotheses.
+Decoding is incremental (see `model.DecodeState`) and, like all of the
+model's inference, runs on plain arrays: the encoder memory is projected for
+cross-attention once per sentence, the decoder's weights are bound once per
+decode, and each step feeds only the newest token of every live hypothesis.
+Its log-probabilities come from `tensor.log_softmax` over the step's logits
+in double precision, the same function the training loss uses. Each state
+row belongs to one live hypothesis, and the search keeps its bookkeeping in
+arrays with one entry per row: the sentence, the token ids so far and the
+log-probability. After a step it picks each row's k best tokens with
+`argpartition`, sorts each sentence's candidates by score (stably, so ties
+keep row order and then argpartition order) and keeps the k best; at beam
+size 1 each sentence has one row, so each row keeps its best token with no
+sort. The rows of the hypotheses that survive, a parent row once per child,
+are gathered with one `DecodeState.reorder` and one take of the id array,
+skipped when the parents are the rows in order (every greedy step on which
+no sentence ends). `Hypothesis` objects are made only for finished
+hypotheses.
 
 A sentence stops early, when alpha == 0, as soon as its best completed
 hypothesis scores at least as high as its best live one. That is exact:
@@ -39,6 +42,7 @@ import numpy as np
 from . import bpe
 from .data import ParallelCorpus
 from .model import Seq2SeqModel
+from .tensor import log_softmax
 
 log = logging.getLogger(__name__)
 
@@ -78,11 +82,6 @@ class Hypothesis:
         return self.logprob / (len(self.ids) ** alpha)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
-
-
 def beam_search_batch(
     model: Seq2SeqModel,
     src_id_lists: list,
@@ -109,7 +108,7 @@ def beam_search_batch(
     for r, i in enumerate(live_idx):
         src[r, : len(src_id_lists[i])] = src_id_lists[i]
     model.set_train(False)
-    memory = model.encode(src, adapter=adapter, tape=False)
+    memory = model.encode(src, adapter=adapter)
     state = model.start_decode(memory, src)
 
     k = cfg.beam_size
@@ -129,7 +128,7 @@ def beam_search_batch(
     score = np.zeros(n_live)
     tokens = np.full((n_live, 1), tv.bos_id, dtype=np.int64)
     while sent.size:
-        logp = _log_softmax(model.step_logits(tokens, state).astype(np.float64))
+        logp = log_softmax(model.step_logits(tokens, state).astype(np.float64))
         # each row's k best tokens, then each sentence's k best candidates: the
         # sort is stable, so ties keep row order, then argpartition order
         top = (-logp).argpartition(min(k, logp.shape[1] - 1), axis=1)[:, :k]

@@ -14,14 +14,16 @@ tape module `tensor` (Tensors recorded for backward, every op checked for
 NaN/Inf) or `tensor.ArrayOps` (plain arrays, the same kernels, no tape).
 Each sublayer is one fused primitive (`embed`, `heads`, `attention`,
 `feed_forward`, `residual`) on a 2-D residual stream, (sentences * positions, d).
-Training runs on the tape, but a frozen encoder (no `src_embed`/`encoder`
-parameter requires a gradient, as in step-wise stage 2) runs on arrays and
-enters the tape as a constant. Inference runs on arrays: `encode`,
-`decode_states` and `output_logits` with `tape=False`, and through them
-`token_logprobs`, `start_decode` and `step_logits`. Each array call checks
-its output once for NaN/Inf (the encoder memory, padding positions included,
-and the logits), and its results equal the tape path's bit for bit: the two
-paths run the same kernels on the same memory layouts.
+Only training runs on the tape (`forward_loss`), and even there a frozen
+encoder (no `src_embed`/`encoder` parameter requires a gradient, as in
+step-wise stage 2) runs on arrays and enters the tape as a constant.
+Inference runs only on arrays: `encode`, `decode_states`, `output_logits`,
+`start_decode` and `step_logits` return plain arrays, each checked once for
+NaN/Inf (the encoder memory with its padding positions, the decoder states,
+the logits), and their values equal the tape path's bit for bit: the two
+paths run the same kernels on the same memory layouts. The loss and
+`token_logprobs` take their log-probabilities from `tensor.log_softmax`,
+the one log-softmax that decoding uses too.
 
 Parameters are bound once per call: `forward_loss`, `encode`,
 `decode_states`, `output_logits` and `start_decode` look up each layer's
@@ -71,8 +73,7 @@ class DecodeState:
       cross_v[i] (rows, heads, Ls, dh)
     src_pad (rows, Ls) is True at source padding; length counts fed positions.
     weights holds the decoder's parameter arrays as `start_decode` bound them
-    (see `Seq2SeqModel._decoder_weights`); None binds the model's current ones
-    at every step.
+    (see `Seq2SeqModel._decoder_weights`); every step runs on them.
     """
 
     self_k: list
@@ -80,8 +81,8 @@ class DecodeState:
     cross_k: list
     cross_v: list
     src_pad: np.ndarray
+    weights: tuple
     length: int = 0
-    weights: tuple | None = None
 
     @property
     def rows(self) -> int:
@@ -233,9 +234,6 @@ class Seq2SeqModel:
             return names
         return [n for n in names if group_of(n) == group]
 
-    def group_names(self) -> list:
-        return sorted({group_of(n) for n in self.params})
-
     def frozen_param_names(self, frozen_groups) -> set:
         groups = set(frozen_groups)
         unknown = groups - set(PARAM_GROUPS)
@@ -258,10 +256,6 @@ class Seq2SeqModel:
     # -- building blocks ----------------------------------------------------
     # Each helper takes the op set it runs on: the tape module `T` itself
     # (Tensors, recorded for backward) or `T.ArrayOps` (plain arrays).
-
-    @staticmethod
-    def _ops(tape: bool):
-        return T if tape else T.ArrayOps
 
     @staticmethod
     def _leaf(ops, t: T.Tensor):
@@ -363,16 +357,13 @@ class Seq2SeqModel:
             x = ops.matmul(x, ops.transpose(m))
         return x
 
-    def encode(self, src_ids: np.ndarray, adapter=None, tape: bool = True):
+    def encode(self, src_ids: np.ndarray, adapter=None) -> np.ndarray:
         """Encoder states (B, Ls, d); adapter (if given) is applied position-wise.
 
-        With tape=False the result is a plain array, checked once for NaN/Inf
-        (padding positions included) instead of after every op.
+        Checked once for NaN/Inf, padding positions included.
         """
-        ops = self._ops(tape)
-        x = self._encoder(ops, src_ids, adapter)
-        x = ops.reshape(x, np.shape(src_ids) + (self.config.model_dim,))
-        return x if tape else T.check_finite("encode", x)
+        x = self._encoder(T.ArrayOps, src_ids, adapter)
+        return T.check_finite("encode", x.reshape(np.shape(src_ids) + (self.config.model_dim,)))
 
     def _out_weight(self, ops):
         """The (d, V) output projection: for a tied one the token table
@@ -429,26 +420,22 @@ class Seq2SeqModel:
             cache.length = start + lt
         return self._norm(ops, final, "final_norm", x)
 
-    def decode_states(self, tgt_in_ids: np.ndarray, memory, src_ids: np.ndarray, tape: bool = True):
+    def decode_states(self, tgt_in_ids: np.ndarray, memory: np.ndarray, src_ids: np.ndarray) -> np.ndarray:
         """Decoder states (B, Lt, d) of whole target prefixes over `memory`
-        (B, Ls, d) (a Tensor, or with tape=False a plain array)."""
+        (B, Ls, d), checked once for NaN/Inf."""
         tgt_in_ids = np.asarray(tgt_in_ids)
-        ops = self._ops(tape)
-        weights = self._stack(ops, "decoder")
+        weights = self._stack(T.ArrayOps, "decoder")
         b, ls, d = memory.shape
-        cross = self._cross_kv(ops, weights[1], ops.reshape(memory, (b * ls, d)), b)
+        cross = self._cross_kv(T.ArrayOps, weights[1], memory.reshape(b * ls, d), b)
         src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
-        states = self._decoder(ops, weights, tgt_in_ids, cross, src_pad)
-        return ops.reshape(states, tgt_in_ids.shape + (d,))
+        states = self._decoder(T.ArrayOps, weights, tgt_in_ids, cross, src_pad)
+        return T.check_finite("decoder states", states.reshape(tgt_in_ids.shape + (d,)))
 
-    def output_logits(self, dec_states, tape: bool = True):
-        """Vocabulary logits (positions, V) of decoder states (..., d).
-
-        With tape=False the result is a plain array, checked once for NaN/Inf.
-        """
-        ops = self._ops(tape)
-        logits = ops.matmul(ops.reshape(dec_states, (-1, self.config.model_dim)), self._out_weight(ops))
-        return logits if tape else T.check_finite("output logits", logits)
+    def output_logits(self, dec_states: np.ndarray) -> np.ndarray:
+        """Vocabulary logits (positions, V) of decoder states (..., d),
+        checked once for NaN/Inf."""
+        logits = dec_states.reshape(-1, self.config.model_dim) @ self._out_weight(T.ArrayOps)
+        return T.check_finite("output logits", logits)
 
     def decoder_input(self, tgt_ids: np.ndarray) -> np.ndarray:
         dec_in = np.full_like(tgt_ids, self.tgt_vocab.pad_id)
@@ -480,31 +467,19 @@ class Seq2SeqModel:
 
     def token_logprobs(self, batch: Batch, adapter=None) -> tuple:
         """(logprob of each reference token, pad mask), on plain arrays."""
-        memory = self.encode(batch.src, adapter=adapter, tape=False)
-        states = self.decode_states(self.decoder_input(batch.tgt), memory, batch.src, tape=False)
-        logits = self.output_logits(states, tape=False)
-        z = logits - T.row_max(logits)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        memory = self.encode(batch.src, adapter=adapter)
+        states = self.decode_states(self.decoder_input(batch.tgt), memory, batch.src)
+        logp = T.log_softmax(self.output_logits(states))
         flat_tgt = batch.tgt.ravel()
         tok_lp = logp[np.arange(flat_tgt.size), flat_tgt].reshape(batch.tgt.shape)
         return tok_lp, batch.tgt != self.tgt_vocab.pad_id
 
-    def per_sentence_loss(self, batch: Batch, adapter=None) -> np.ndarray:
-        """Mean negative log-likelihood per sentence (no smoothing, no grad)."""
-        tok_lp, mask = self.token_logprobs(batch, adapter=adapter)
-        counts = mask.sum(axis=1)
-        if (counts == 0).any():
-            raise ModelError("batch has an all-padding target")
-        return -(tok_lp * mask).sum(axis=1) / counts
-
-    def start_decode(self, memory, src_ids: np.ndarray) -> DecodeState:
+    def start_decode(self, memory: np.ndarray, src_ids: np.ndarray) -> DecodeState:
         """Empty decode state for the sentences of `memory` (B, Ls, d), one row each.
 
         Every layer's cross-attention keys and values are projected here, once
-        per sentence, on plain arrays (`memory` may also be a Tensor).
+        per sentence, and the decoder's weights are bound for the whole decode.
         """
-        if isinstance(memory, T.Tensor):
-            memory = memory.data
         b, ls, d = memory.shape
         src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
         if src_pad.shape != (b, ls):
@@ -534,12 +509,9 @@ class Seq2SeqModel:
         rows = state.rows
         if ids.shape != (rows, 1):
             raise ModelError(f"step ids must be ({rows}, 1), got {ids.shape}")
-        weights = state.weights
-        if weights is None:
-            weights = self._decoder_weights(T.ArrayOps)
         cross = zip(state.cross_k, state.cross_v)
-        states = self._decoder(T.ArrayOps, weights, ids, cross, state.src_pad, cache=state)
-        return T.check_finite("output logits", states @ weights[3])
+        states = self._decoder(T.ArrayOps, state.weights, ids, cross, state.src_pad, cache=state)
+        return T.check_finite("output logits", states @ state.weights[3])
 
     # -- surgery helpers ----------------------------------------------------
 

@@ -188,10 +188,13 @@ def backward(loss: Tensor):
 def row_max(a: np.ndarray) -> np.ndarray:
     """`np.maximum.reduce(a, axis=-1, keepdims=True)`, the same values (NaN included).
 
-    A reduction along a short last axis pays a per-row cost; on a copy with
-    the axes reversed the same maxima come from one pass along the first
-    axis, many times faster for attention scores. The copy pays off only
-    for many rows, so the scores of a single query reduce in place.
+    It serves the attention softmax only. A reduction along a short last
+    axis pays a per-row cost; on a copy with the axes reversed the same
+    maxima come from one pass along the first axis, many times faster for
+    attention scores. The copy pays off only for short rows: on
+    vocabulary-length rows it is several times slower than the direct
+    reduction (`log_softmax` uses that), and the scores of a single query
+    reduce in place.
     """
     if a.ndim < 2 or a.shape[-2] == 1:
         return np.maximum.reduce(a, axis=-1, keepdims=True)
@@ -202,6 +205,13 @@ def _softmax(a):
     e = np.exp(a - row_max(a))
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
+
+
+def log_softmax(a: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, shifted by each row's maximum: the
+    log-probabilities of the training loss, of scoring and of beam search."""
+    z = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def _layer_norm_parts(x, gain, bias, eps):
@@ -292,10 +302,6 @@ class ArrayOps:
     @staticmethod
     def layer_norm(x, gain, bias, eps: float = 1e-5):
         return _layer_norm_parts(x, gain, bias, eps)[0]
-
-    @staticmethod
-    def reshape(x, shape):
-        return x.reshape(shape)
 
     @staticmethod
     def transpose(x, axes=None):
@@ -522,7 +528,7 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     try:
-        out = ArrayOps.reshape(x.data, shape)
+        out = x.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape: {x.shape} -> {shape}: {e}") from None
 
@@ -600,9 +606,7 @@ def cross_entropy_logits(
     if wsum <= 0:
         raise ShapeError("cross_entropy: all rows have zero weight")
 
-    z = logits.data - row_max(logits.data)
-    lse = np.log(np.exp(z).sum(axis=1))
-    logp = z - lse[:, None]
+    logp = log_softmax(logits.data)
     eps = float(label_smoothing)
     nll = -logp[np.arange(n), targets]
     if eps > 0.0:

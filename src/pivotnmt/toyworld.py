@@ -72,15 +72,6 @@ class ToyWorldSpec:
         if set(self.languages) != {"src", "piv", "tgt"}:
             raise CorpusError("toy world needs exactly the languages src, piv, tgt")
 
-    @classmethod
-    def from_json(cls, path) -> "ToyWorldSpec":
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-        return cls(**raw)
-
-    def to_json(self, path):
-        write_atomic(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-
 
 class ToyWorld:
     """Surface-form tables and reference translations for one seeded world."""

@@ -56,6 +56,10 @@ class TrainSchedule:
     max_updates: int = 2000
     max_tokens: int = 1024
 
+    def __post_init__(self):
+        if self.checkpoint_interval < 1:
+            raise TrainingError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
+
 
 class ScheduleTracker:
     """Pure decay/stop bookkeeping over a validation-perplexity stream."""
@@ -326,7 +330,7 @@ def stepwise_pretrain(
     joint_vocab: Vocabulary,
     piv_vocab: Vocabulary,
     tgt_vocab: Vocabulary,
-    src_piv: tuple,
+    src_piv: tuple | None,
     piv_tgt: tuple,
     schedule: TrainSchedule,
     seed: int,
@@ -337,7 +341,8 @@ def stepwise_pretrain(
 
     The encoder reads a joint source+pivot vocabulary in both stages. A
     pre-trained stage-1 checkpoint (e.g. a cross-lingual encoder) can be
-    passed in to replace stage 1.
+    passed in to replace stage 1; the stage-1 corpora `src_piv` are then
+    unused (None).
     """
     if stage1_ckpt is None:
         stage1_model = init_params(config, joint_vocab, piv_vocab, seed)

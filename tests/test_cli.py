@@ -157,6 +157,7 @@ def _config_commands(absent):
         ("{}", ["settings.model=5"]),
         ("{}", ["settings.model=5", "settings.model.layers=1"]),
         ("[{}]", []),
+        ("{}", ["settings.finetune.checkpoint_interval=0"]),
     ],
 )
 def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
@@ -325,6 +326,51 @@ def test_recipe_seed_names_the_run(recipe_out):
                  "--out", str(out)]) == 0
     report = json.loads((out / "direct--seed5" / "report.json").read_text(encoding="utf-8"))
     assert report["seed"] == 5
+
+
+@pytest.fixture
+def stepwise_inputs(tmp_path):
+    """Word-level vocabularies, a pivot-target corpus and an untrained stage-1
+    checkpoint over the joint vocabulary: `stepwise` flags without --out."""
+    src, piv, tgt = ["s1", "s2"], ["p1", "p2", "p3"], ["t1", "t2", "t3"]
+    vocabs = {"joint": bpe.build_vocab([[src + piv]]), "piv": bpe.build_vocab([[piv]]),
+              "tgt": bpe.build_vocab([[tgt]])}
+    args = []
+    for name, vocab in vocabs.items():
+        vocab.save(tmp_path / f"{name}.vocab")
+        args += [f"--{name}-vocab", str(tmp_path / f"{name}.vocab")]
+    lines = {"piv": ["p1 p2", "p3", "p2 p3 p1"], "tgt": ["t2 t1", "t3", "t3 t1 t2"]}
+    for side in ("src", "tgt"):
+        path = tmp_path / f"piv-tgt.{side}"
+        path.write_text("".join(line + "\n" for line in lines["piv" if side == "src" else "tgt"]),
+                        encoding="utf-8")
+        args += [f"--piv-tgt-{side}", str(path), f"--piv-tgt-val-{side}", str(path)]
+    config = ModelConfig(**TINY_CONFIG["settings"]["model"])
+    stage1 = tmp_path / "stage1.ckpt"
+    checkpoint_of(init_params(config, vocabs["joint"], vocabs["piv"], 0), {}).save(stage1)
+    config_path = tmp_path / "tiny.json"
+    config_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    return ["stepwise", "--config", str(config_path), "--set", "settings.pretrain.max_updates=2",
+            *args], stage1
+
+
+def test_stepwise_with_a_stage1_checkpoint_needs_no_src_piv_corpora(stepwise_inputs, tmp_path):
+    args, stage1 = stepwise_inputs
+    out = tmp_path / "stepwise.ckpt"
+    assert main([*args, "--stage1", str(stage1), "--out", str(out)]) == 0
+    for g in ("src_embed", "encoder"):
+        assert Checkpoint.load(out).group_hash(g) == Checkpoint.load(stage1).group_hash(g)
+
+
+def test_stepwise_without_stage1_needs_every_src_piv_corpus(stepwise_inputs, tmp_path, capsys):
+    args, _ = stepwise_inputs
+    corpus = tmp_path / "piv-tgt.src"  # any file: the flag check comes first
+    given = [x for f in ("src-piv-src", "src-piv-tgt", "src-piv-val-src") for x in (f"--{f}", str(corpus))]
+    out = tmp_path / "never.ckpt"
+    assert main([*args, *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "code=usage" in err and "--src-piv-val-tgt" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

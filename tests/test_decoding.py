@@ -202,8 +202,9 @@ def test_decode_deterministic(copy_model):
 
 def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
     """Beam search that re-runs the decoder over every whole prefix at every
-    step and never stops a sentence early: the reference for
-    `beam_search_batch`. Appends its step count to `steps` if given."""
+    step, on the tape layers, and never stops a sentence early: the
+    reference for `beam_search_batch`. Appends its step count to `steps` if
+    given."""
     sv, tv = model.src_vocab, model.tgt_vocab
     n = len(src_id_lists)
     results = [None] * n
@@ -219,7 +220,8 @@ def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
     for r, i in enumerate(live_idx):
         src[r, : len(src_id_lists[i])] = src_id_lists[i]
     model.set_train(False)
-    memory = model.encode(src, adapter=adapter).data
+    memory = model._encoder(T, src, adapter).data.reshape(src.shape + (-1,))
+    dec = model._decoder_weights(T)
 
     k = cfg.beam_size
     alpha = cfg.length_normalization_alpha
@@ -241,11 +243,12 @@ def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
             prefix[j, 0] = tv.bos_id
             if step:
                 prefix[j, 1:] = h.ids
-        mem_rows = T.Tensor(memory[[r for r, _ in rows]])
+        mem_rows = T.Tensor(memory[[r for r, _ in rows]].reshape(-1, memory.shape[2]))
         src_rows = src[[r for r, _ in rows]]
-        states = model.decode_states(prefix, mem_rows, src_rows)
-        logits = model.output_logits(states).data.reshape(len(rows), step + 1, -1)[:, -1, :]
-        logp = decoding._log_softmax(logits.astype(np.float64))
+        cross = model._cross_kv(T, dec[1], mem_rows, len(rows))
+        states = model._decoder(T, dec, prefix, cross, src_rows == sv.pad_id)
+        logits = T.matmul(states, dec[3]).data.reshape(len(rows), step + 1, -1)[:, -1, :]
+        logp = T.log_softmax(logits.astype(np.float64))
 
         by_sentence = {}
         for j, (r, h) in enumerate(rows):

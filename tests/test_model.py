@@ -10,7 +10,9 @@ from pivotnmt import tensor as T
 from pivotnmt.adapter import collect_pairs, make_baseline_adapter
 from pivotnmt.data import Batch, ParallelCorpus
 from pivotnmt.decoding import BeamConfig, beam_search_batch
-from pivotnmt.model import DecodeState, ModelConfig, ModelError, Seq2SeqModel, init_params
+from pivotnmt.model import (
+    PARAM_GROUPS, DecodeState, ModelConfig, ModelError, Seq2SeqModel, group_of, init_params,
+)
 
 
 def tiny_vocab(prefix, n):
@@ -60,9 +62,8 @@ def test_desk_scale_parameter_count_pinned():
 
 def test_every_param_in_exactly_one_group():
     model = tiny_model()
-    groups = model.group_names()
-    assert set(groups) <= {"src_embed", "encoder", "tgt_embed", "decoder", "output_proj"}
-    total = sum(len(model.param_names(g)) for g in groups)
+    assert {group_of(n) for n in model.params} <= set(PARAM_GROUPS)
+    total = sum(len(model.param_names(g)) for g in PARAM_GROUPS)
     assert total == len(model.params)
 
 
@@ -85,8 +86,8 @@ def test_adapter_identity_matches_plain_encode():
     model = tiny_model()
     ids = np.array([[4, 5, 6, 2]])
     ident = make_baseline_adapter("identity", 8)
-    a = model.encode(ids).data
-    b = model.encode(ids, adapter=ident).data
+    a = model.encode(ids)
+    b = model.encode(ids, adapter=ident)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -94,8 +95,8 @@ def test_adapter_linearity_exact():
     model = tiny_model()
     ids = np.array([[4, 5, 6], [5, 6, 4]])
     adapter = make_baseline_adapter("random", 8, seed=3)
-    plain = model.encode(ids).data
-    mapped = model.encode(ids, adapter=adapter).data
+    plain = model.encode(ids)
+    mapped = model.encode(ids, adapter=adapter)
     direct = plain.reshape(-1, 8) @ adapter.m.T
     np.testing.assert_array_equal(mapped.reshape(-1, 8), direct)
 
@@ -128,37 +129,40 @@ def test_causal_masking_by_perturbation():
     src = np.array([[4, 5, 6]])
     tgt_in = np.array([[1, 5, 6, 7]])  # bos + tokens
     memory = model.encode(src)
-    base = model.decode_states(tgt_in, memory, src).data
+    base = model.decode_states(tgt_in, memory, src)
     for t in range(1, 4):
         perturbed = tgt_in.copy()
         perturbed[0, t:] = rng.integers(4, 9, size=4 - t)
-        out = model.decode_states(perturbed, model.encode(src), src).data
+        out = model.decode_states(perturbed, model.encode(src), src)
         np.testing.assert_allclose(out[0, :t], base[0, :t], atol=1e-10)
 
 
-def test_padding_invariance_per_sentence_loss():
+def test_padding_invariance_token_logprobs():
     model = tiny_model()
     rng = np.random.default_rng(2)
     batch = random_batch(model, rng)
-    losses = model.per_sentence_loss(batch)
+    logp, mask = model.token_logprobs(batch)
     wider = Batch(
         src=np.pad(batch.src, ((0, 0), (0, 3)), constant_values=model.src_vocab.pad_id),
         tgt=np.pad(batch.tgt, ((0, 0), (0, 2)), constant_values=model.tgt_vocab.pad_id),
         n_pairs=batch.n_pairs,
     )
-    np.testing.assert_allclose(model.per_sentence_loss(wider), losses, atol=1e-6)
+    wide_logp, wide_mask = model.token_logprobs(wider)
+    lt = batch.tgt.shape[1]
+    assert np.array_equal(wide_mask[:, :lt], mask) and not wide_mask[:, lt:].any()
+    np.testing.assert_allclose(wide_logp[:, :lt][mask], logp[mask], atol=1e-6)
 
 
 def test_dropout_seeded_and_train_only():
     model = tiny_model(dtype="float32", dropout=0.5)
     ids = np.array([[4, 5, 6]])
-    e1 = model.encode(ids).data
-    e2 = model.encode(ids).data
+    e1 = model.encode(ids)
+    e2 = model.encode(ids)
     assert np.array_equal(e1, e2)  # eval mode: no dropout
     model.set_train(True, np.random.default_rng(7))
-    d1 = model.encode(ids).data
+    d1 = model.encode(ids)
     model.set_train(True, np.random.default_rng(7))
-    d2 = model.encode(ids).data
+    d2 = model.encode(ids)
     assert np.array_equal(d1, d2)
     model.set_train(False)
 
@@ -234,7 +238,7 @@ def test_frozen_encoder_leaves_the_tape():
     model = tiny_model(dtype="float32")
     batch = random_batch(model, np.random.default_rng(5))
     frozen = freeze(model, {"encoder", "src_embed"})
-    memory = model.encode(batch.src)
+    memory = model._encoder(T, batch.src)
     assert not memory.requires_grad and memory._backward is None
     loss = model.forward_loss(batch)
     T.backward(loss)
@@ -255,8 +259,7 @@ STEP_RTOL, STEP_ATOL = 1e-4, 1e-5
 
 def full_prefix_logits(model, prefix, memory, src):
     """Logits of each row's last position, re-running the decoder over the whole prefix."""
-    states = model.decode_states(prefix, T.Tensor(memory), src)
-    logits = model.output_logits(states).data
+    logits = model.output_logits(model.decode_states(prefix, memory, src))
     return logits.reshape(prefix.shape[0], prefix.shape[1], -1)[:, -1, :]
 
 
@@ -281,7 +284,7 @@ def test_step_logits_match_decode_states_with_reorder_and_adapter():
             new = rng.integers(tv.n_special, len(tv), size=(len(parents), 1))
             prefix = np.concatenate([prefix[parents], new], axis=1)
         step = model.step_logits(prefix[:, -1:], state)
-        full = full_prefix_logits(model, prefix, memory.data[sentence], src[sentence])
+        full = full_prefix_logits(model, prefix, memory[sentence], src[sentence])
         assert step.shape == (len(sentence), len(tv))
         np.testing.assert_allclose(step, full, rtol=STEP_RTOL, atol=STEP_ATOL)
     assert state.length == prefix.shape[1]
@@ -336,7 +339,8 @@ def tape_attend(model, prefix, q, k_t, v, mask):
 
 
 def reference_start_decode(model, memory, src):
-    """The tape path's decode state: cross keys/values projected with tape primitives."""
+    """The tape path's decode state: cross keys/values projected with tape
+    primitives, and the decoder's parameters bound as the tape takes them."""
     b, ls, d = memory.shape
     h, layers = model.config.heads, model.config.layers
     mem2d = T.reshape(T.Tensor(memory), (b * ls, d))
@@ -351,6 +355,7 @@ def reference_start_decode(model, memory, src):
         cross_k=cross_k,
         cross_v=cross_v,
         src_pad=src == model.src_vocab.pad_id,
+        weights=model._decoder_weights(T),
     )
 
 
@@ -384,7 +389,7 @@ def reference_step_logits(model, ids, state):
         y = tape_norm(model, f"{p}/ff_norm", x)
         w1 = T.relu(T.affine(y, model.params[f"{p}/ff/w1/w"], model.params[f"{p}/ff/w1/b"]))
         x = T.add(x, T.affine(w1, model.params[f"{p}/ff/w2/w"], model.params[f"{p}/ff/w2/b"]))
-    logits = model.output_logits(tape_norm(model, "decoder/final_norm", x)).data
+    logits = T.matmul(tape_norm(model, "decoder/final_norm", x), state.weights[3]).data
     state.length = t + 1
     return logits
 
@@ -512,15 +517,18 @@ def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
     adapter = make_baseline_adapter("random", 8, seed=5) if with_adapter else None
     dec_in = model.decoder_input(tgt)
 
-    memory = model.encode(src, adapter=adapter)
-    states = model.decode_states(dec_in, memory, src)
-    logits = model.output_logits(states).data
-    arr_memory = model.encode(src, adapter=adapter, tape=False)
-    arr_states = model.decode_states(dec_in, arr_memory, src, tape=False)
-    arr_logits = model.output_logits(arr_states, tape=False)
+    # the tape path, through the layer helpers on the tape op set
+    memory = model._encoder(T, src, adapter)
+    dec = model._decoder_weights(T)
+    cross = model._cross_kv(T, dec[1], memory, 3)
+    states = model._decoder(T, dec, dec_in, cross, src == model.src_vocab.pad_id)
+    logits = T.matmul(states, dec[3]).data
+    arr_memory = model.encode(src, adapter=adapter)
+    arr_states = model.decode_states(dec_in, arr_memory, src)
+    arr_logits = model.output_logits(arr_states)
     assert type(arr_memory) is type(arr_states) is type(arr_logits) is np.ndarray
-    assert np.array_equal(arr_memory, memory.data)
-    assert np.array_equal(arr_states, states.data)
+    assert np.array_equal(arr_memory, memory.data.reshape(arr_memory.shape))
+    assert np.array_equal(arr_states, states.data.reshape(arr_states.shape))
     assert np.array_equal(arr_logits, logits)
 
     z = logits - logits.max(axis=1, keepdims=True)
@@ -532,7 +540,7 @@ def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
 
     # incremental decoding: keep, duplicate and drop rows between steps
     state = model.start_decode(arr_memory, src)
-    ref = reference_start_decode(model, memory.data, src)
+    ref = reference_start_decode(model, arr_memory, src)
     for a, b in zip(state.cross_k + state.cross_v, ref.cross_k + ref.cross_v):
         assert np.array_equal(a, b)
     ids = np.full((3, 1), tv.bos_id)
@@ -547,40 +555,19 @@ def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
     assert state.length == ref.length == 5
 
 
-def test_a_decode_state_without_weights_steps_like_one_from_start_decode():
-    model = tiny_model(dtype="float32", layers=2)
-    rng = np.random.default_rng(17)
-    tv = model.tgt_vocab
-    src = padded_source(model, rng)
-    memory = model.encode(src, tape=False)
-    bound = model.start_decode(memory, src)
-    unbound = reference_start_decode(model, memory, src)  # built by hand: no weights
-    assert bound.weights is not None and unbound.weights is None
-    ids = np.full((3, 1), tv.bos_id)
-    for parents in [None, [0, 0, 2], [2, 0, 1, 1], [3, 1]]:
-        if parents is not None:
-            bound.reorder(parents)
-            unbound.reorder(parents)
-            ids = rng.integers(tv.n_special, len(tv), size=(len(parents), 1))
-        assert model.step_logits(ids, bound).tobytes() == model.step_logits(ids, unbound).tobytes()
-        for a, b in zip(bound.self_k + bound.self_v, unbound.self_k + unbound.self_v):
-            assert a.tobytes() == b.tobytes()
-    assert unbound.weights is None
-
-
 def test_decode_after_load_param_arrays_uses_the_loaded_weights():
     model = tiny_model(seed=0, dtype="float32", layers=2)
     donor = tiny_model(seed=1, dtype="float32", layers=2)
     rng = np.random.default_rng(19)
     src = padded_source(model, rng)
     bos = np.full((3, 1), model.tgt_vocab.bos_id)
-    started = model.start_decode(model.encode(src, tape=False), src)
+    started = model.start_decode(model.encode(src), src)
     old = tiny_model(seed=0, dtype="float32", layers=2)
-    old_state = old.start_decode(old.encode(src, tape=False), src)
+    old_state = old.start_decode(old.encode(src), src)
 
     model.load_param_arrays(donor.clone_params())
-    state = model.start_decode(model.encode(src, tape=False), src)
-    donor_state = donor.start_decode(donor.encode(src, tape=False), src)
+    state = model.start_decode(model.encode(src), src)
+    donor_state = donor.start_decode(donor.encode(src), src)
     assert model.step_logits(bos, state).tobytes() == donor.step_logits(bos, donor_state).tobytes()
     ids = [list(row[row != model.src_vocab.pad_id]) for row in src]
     cfg = BeamConfig(beam_size=2, max_length_constant=4)

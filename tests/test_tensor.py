@@ -567,3 +567,48 @@ def test_single_query_row_max_equals_the_reversed_axes_copy(seed, rows, heads, k
     assert got.shape == want.shape == (rows, heads, 1, 1) and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(got, np.maximum.reduce(a, axis=-1, keepdims=True), equal_nan=True)
+
+
+def _old_loss_log_softmax(a):
+    z = a - T.row_max(a)
+    lse = np.log(np.exp(z).sum(axis=1))
+    return z - lse[:, None]
+
+
+def _old_scoring_log_softmax(a):
+    z = a - T.row_max(a)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _old_search_log_softmax(a):
+    z = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 40),
+    st.sampled_from([np.float32, np.float64]),
+)
+def test_log_softmax_equals_the_three_expressions_it_replaces(seed, rows, width, dtype):
+    """The loss's, scoring's and beam search's former log-softmax: equal by
+    value everywhere, and byte for byte on every row whose log-sum-exp is
+    not 0 (only there can a zero maximum's sign reach the output)."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((rows, width)) * rng.choice([1.0, 30.0])).astype(dtype)
+    specials = np.array([0.0, -0.0, -1e4, -1e30], dtype=dtype)
+    hit = rng.random(a.shape) < 0.3
+    a[hit] = rng.choice(specials, size=int(hit.sum()))
+    tie = rng.random(a.shape) < 0.2  # copies of another entry of the same row
+    a[tie] = a[tie.nonzero()[0], rng.integers(0, width, size=int(tie.sum()))]
+    got = T.log_softmax(a)
+    assert got.shape == a.shape and got.dtype == a.dtype
+    z = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    lse_nonzero = np.log(np.add.reduce(np.exp(z), axis=-1)) != 0
+    for old in (_old_loss_log_softmax, _old_scoring_log_softmax, _old_search_log_softmax):
+        want = old(a)
+        assert want.dtype == got.dtype
+        assert np.array_equal(got, want)
+        assert got[lse_nonzero].tobytes() == want[lse_nonzero].tobytes()
