@@ -1,11 +1,10 @@
 """Corpus-level BLEU-4 with clipped n-gram counts and brevity penalty.
 
-Plain (unsmoothed) corpus BLEU is the primary metric: any zero n-gram
-precision zeroes the score. An order of which the hypotheses hold no n-grams
-at all (every sentence shorter than n) carries no evidence and is left out
-of the geometric mean, so a corpus of identical 3-token sentences scores 100;
-its precision is reported as 0. A smoothed sentence-level variant exists for
-diagnostics only; it keeps all four orders.
+The score is unsmoothed, at corpus level only: any zero n-gram precision
+zeroes it. An order of which the hypotheses hold no n-grams at all (every
+sentence shorter than n) carries no evidence and is left out of the
+geometric mean, so a corpus of identical 3-token sentences scores 100; its
+precision is reported as 0.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def _ngrams(tokens, n) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypotheses, references, smooth: bool = False) -> BleuReport:
+def bleu(hypotheses, references) -> BleuReport:
     """Corpus BLEU over tokenized sentences (lists of tokens or whitespace text)."""
     if len(hypotheses) != len(references):
         raise BleuError(
@@ -64,12 +63,7 @@ def bleu(hypotheses, references, smooth: bool = False) -> BleuReport:
             total[n - 1] += max(len(h) - n + 1, 0)
             matched[n - 1] += sum(min(c, rc[g]) for g, c in hc.items())
 
-    precisions = []
-    for m, t in zip(matched, total):
-        if smooth:
-            precisions.append((m + 1.0) / (t + 1.0))
-        else:
-            precisions.append(m / t if t > 0 else 0.0)
+    precisions = [m / t if t > 0 else 0.0 for m, t in zip(matched, total)]
 
     if hyp_len == 0:
         bp = 0.0
@@ -78,7 +72,7 @@ def bleu(hypotheses, references, smooth: bool = False) -> BleuReport:
     else:
         bp = math.exp(1.0 - ref_len / hyp_len)
 
-    used = [p for p, t in zip(precisions, total) if smooth or t > 0]
+    used = [p for p, t in zip(precisions, total) if t > 0]
     if used and all(p > 0 for p in used):
         score = bp * math.exp(sum(math.log(p) for p in used) / len(used)) * 100.0
     else:
@@ -90,8 +84,3 @@ def bleu(hypotheses, references, smooth: bool = False) -> BleuReport:
         hyp_length=hyp_len,
         ref_length=ref_len,
     )
-
-
-def sentence_bleu(hypothesis, reference) -> float:
-    """Smoothed single-sentence BLEU, for diagnostics."""
-    return bleu([hypothesis], [reference], smooth=True).score

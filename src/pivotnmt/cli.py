@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands cover corpus generation, the subword pipeline, training and
-transfer operations, decoding, scoring, and named end-to-end recipes. Every
-artifact a command writes lands under a run directory and is recorded in a
-manifest with its content hash; `report` re-verifies those hashes and fails
-loudly on any mismatch.
+transfer operations, decoding, scoring, and named end-to-end recipes.
+`recipe` writes each run under its own directory and records the run's
+report and config in a manifest with their content hashes; `report`
+re-verifies those hashes and fails loudly on any mismatch. The other
+commands write the files their flags name and record no hashes (`gen-toy`
+adds a manifest of its world's seed and corpus sizes).
 
 A command that takes `--config` reads a JSON object with two sections,
 `world` (a `ToyWorldSpec`) and `settings` (a `recipes.Settings`), each over
@@ -54,8 +56,6 @@ from .training import (
     stepwise_pretrain,
     train,
 )
-
-log = logging.getLogger(__name__)
 
 
 class CliError(Exception):
@@ -310,30 +310,30 @@ def cmd_transfer_init(args):
     return 0
 
 
-_SRC_PIV_FLAGS = ("src-piv-src", "src-piv-tgt", "src-piv-val-src", "src-piv-val-tgt")
+# stage-1 inputs: a given stage-1 checkpoint needs none of them
+_STAGE1_FLAGS = ("piv-vocab", "src-piv-src", "src-piv-tgt", "src-piv-val-src", "src-piv-val-tgt")
 
 
 def cmd_stepwise(args):
     settings = _settings(args)
-    # the src-piv corpora train stage 1: a given stage 1 needs none
-    missing = [f"--{f}" for f in _SRC_PIV_FLAGS if getattr(args, f.replace("-", "_")) is None]
+    missing = [f"--{f}" for f in _STAGE1_FLAGS if getattr(args, f.replace("-", "_")) is None]
     if args.stage1 is None and missing:
         raise CliError("usage", f"without --stage1, stepwise needs {', '.join(missing)}")
     joint_vocab = _vocab(args.joint_vocab)
-    piv_vocab = _vocab(args.piv_vocab)
     tgt_vocab = _vocab(args.tgt_vocab)
     piv_tgt = (
         _load_corpus(args.piv_tgt_src, args.piv_tgt_tgt, "piv", "tgt"),
         _load_corpus(args.piv_tgt_val_src, args.piv_tgt_val_tgt, "piv", "tgt"),
     )
     if args.stage1 is None:
-        stage1 = None
+        stage1, piv_vocab = None, _vocab(args.piv_vocab)
         src_piv = (
             _load_corpus(args.src_piv_src, args.src_piv_tgt, "src", "piv"),
             _load_corpus(args.src_piv_val_src, args.src_piv_val_tgt, "src", "piv"),
         )
     else:
-        stage1, src_piv = Checkpoint.load(_require_file(args.stage1, "stage-1 checkpoint")), None
+        stage1 = Checkpoint.load(_require_file(args.stage1, "stage-1 checkpoint"))
+        piv_vocab = src_piv = None
     ck = stepwise_pretrain(
         settings.model, joint_vocab, piv_vocab, tgt_vocab, src_piv, piv_tgt,
         settings.pretrain, seed=args.seed, stage1_ckpt=stage1,
@@ -563,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pivotnmt",
         description="Pivot-based transfer learning for desk-scale translation experiments",
     )
-    ap.add_argument("--serial", action="store_true",
-                    help="single-threaded math kernels for bit-exact reproducibility")
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -617,12 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stepwise", help="step-wise pre-training (two stages, frozen encoder)")
     _add_common(p)
     for flag in (
-        "joint-vocab", "piv-vocab", "tgt-vocab",
+        "joint-vocab", "tgt-vocab",
         "piv-tgt-src", "piv-tgt-tgt", "piv-tgt-val-src", "piv-tgt-val-tgt",
     ):
         p.add_argument(f"--{flag}", required=True)
-    for flag in _SRC_PIV_FLAGS:
-        p.add_argument(f"--{flag}", help="stage-1 corpus, required without --stage1")
+    for flag in _STAGE1_FLAGS:
+        p.add_argument(f"--{flag}", help="stage-1 input, required without --stage1")
     p.add_argument("--stage1", default=None, help="existing stage-1 checkpoint")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stepwise)
@@ -739,15 +737,6 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.serial:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            # hold the limiter open for the whole process
-            global _SERIAL_CTX
-            _SERIAL_CTX = threadpool_limits(limits=1)
-        except ImportError:
-            log.warning("threadpoolctl unavailable; serial mode not enforced")
     try:
         return args.func(args)
     except Exception as e:

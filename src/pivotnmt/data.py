@@ -203,10 +203,6 @@ class Batch:
     tgt: np.ndarray  # (B, Lt) int64, padded; includes eos, excludes bos
     n_pairs: int
 
-    @property
-    def target_tokens(self) -> int:
-        return int(self.tgt.size)
-
 
 @dataclass
 class BatchStream:

@@ -208,7 +208,6 @@ def pivot_translate(
     piv_tgt_model: Seq2SeqModel,
     sentences: list,
     cfg: BeamConfig,
-    adapter=None,
 ) -> list:
     """Two-step decoding via the pivot language, 1-best at the joint.
 
@@ -220,7 +219,7 @@ def pivot_translate(
         != piv_tgt_model.src_vocab.content_hash()
     ):
         raise PivotVocabMismatch("pivot vocabulary hash mismatch between the two models")
-    pivot_hyps = translate_tokens(src_piv_model, sentences, cfg, adapter=adapter)
+    pivot_hyps = translate_tokens(src_piv_model, sentences, cfg)
     return translate_tokens(piv_tgt_model, pivot_hyps, cfg)
 
 

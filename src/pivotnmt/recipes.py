@@ -24,7 +24,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from . import bpe
+from . import BLAS_PINNED, bpe
 from .adapter import AdapterMatrix, collect_pairs, fit_adapter
 from .bleu import BleuReport, bleu
 from .checkpoint import Checkpoint, CheckpointError
@@ -76,6 +76,10 @@ class Settings:
     distill_pairs: int = 4000
     backtranslate_pairs: int = 4000
     synthetic_per_real: int = 2
+
+    def __post_init__(self):
+        if self.synthetic_per_real < 1:
+            raise RecipeError(f"synthetic_per_real must be at least 1, got {self.synthetic_per_real}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -144,6 +148,8 @@ class Workbench:
                 "world": asdict(self.world),
                 "settings": self.settings.to_dict(),
                 "seed": self.seed,
+                # an unpinned process's stages may differ in their last bits
+                "blas_pinned": BLAS_PINNED,
             },
             sort_keys=True,
             default=str,

@@ -328,7 +328,7 @@ def check_vocab_coverage(corpus_side_tokens, vocab: Vocabulary, what: str):
 def stepwise_pretrain(
     config: ModelConfig,
     joint_vocab: Vocabulary,
-    piv_vocab: Vocabulary,
+    piv_vocab: Vocabulary | None,
     tgt_vocab: Vocabulary,
     src_piv: tuple | None,
     piv_tgt: tuple,
@@ -341,8 +341,8 @@ def stepwise_pretrain(
 
     The encoder reads a joint source+pivot vocabulary in both stages. A
     pre-trained stage-1 checkpoint (e.g. a cross-lingual encoder) can be
-    passed in to replace stage 1; the stage-1 corpora `src_piv` are then
-    unused (None).
+    passed in to replace stage 1; the stage-1 corpora `src_piv` and target
+    vocabulary `piv_vocab` are then unused (None).
     """
     if stage1_ckpt is None:
         stage1_model = init_params(config, joint_vocab, piv_vocab, seed)

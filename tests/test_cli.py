@@ -121,9 +121,12 @@ def test_report_on_a_tampered_run_exits_hash_mismatch(recipe_out, tmp_path, caps
 
 def test_unknown_recipe_is_a_usage_error_that_creates_nothing(tmp_path, capsys):
     out = tmp_path / "runs"
-    assert main(["recipe", "--name", "direct", "bogus", "--out", str(out)]) == 2
-    assert "code=usage" in capsys.readouterr().err
-    assert not out.exists()
+    # the BLAS pin has no flag: importing the package sets it
+    serial = ["--serial", "recipe", "--name", "direct", "--config", str(tmp_path / "absent.json")]
+    for argv in (["recipe", "--name", "direct", "bogus"], serial):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "code=usage" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_input_exits_3(tmp_path, capsys):
@@ -158,6 +161,7 @@ def _config_commands(absent):
         ("{}", ["settings.model=5", "settings.model.layers=1"]),
         ("[{}]", []),
         ("{}", ["settings.finetune.checkpoint_interval=0"]),
+        ("{}", ["settings.synthetic_per_real=0"]),
     ],
 )
 def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
@@ -354,10 +358,16 @@ def stepwise_inputs(tmp_path):
             *args], stage1
 
 
+def _without(args, flag):
+    i = args.index(flag)
+    return args[:i] + args[i + 2:]
+
+
 def test_stepwise_with_a_stage1_checkpoint_needs_no_src_piv_corpora(stepwise_inputs, tmp_path):
     args, stage1 = stepwise_inputs
     out = tmp_path / "stepwise.ckpt"
-    assert main([*args, "--stage1", str(stage1), "--out", str(out)]) == 0
+    # nor the stage-1 target vocabulary
+    assert main([*_without(args, "--piv-vocab"), "--stage1", str(stage1), "--out", str(out)]) == 0
     for g in ("src_embed", "encoder"):
         assert Checkpoint.load(out).group_hash(g) == Checkpoint.load(stage1).group_hash(g)
 
@@ -367,9 +377,9 @@ def test_stepwise_without_stage1_needs_every_src_piv_corpus(stepwise_inputs, tmp
     corpus = tmp_path / "piv-tgt.src"  # any file: the flag check comes first
     given = [x for f in ("src-piv-src", "src-piv-tgt", "src-piv-val-src") for x in (f"--{f}", str(corpus))]
     out = tmp_path / "never.ckpt"
-    assert main([*args, *given, "--out", str(out)]) == 2
+    assert main([*_without(args, "--piv-vocab"), *given, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "code=usage" in err and "--src-piv-val-tgt" in err
+    assert "code=usage" in err and "--piv-vocab" in err and "--src-piv-val-tgt" in err
     assert not out.exists()
 
 

@@ -203,7 +203,7 @@ def test_batch_budget_respected():
     sv, tv = vocab_for(corpus)
     stream = make_batches(corpus, sv, tv, max_tokens=25, seed=0)
     for b in stream.batches:
-        assert b.target_tokens <= 25
+        assert b.tgt.size <= 25
     assert sum(b.n_pairs for b in stream.batches) == 10
 
 

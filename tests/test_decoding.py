@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pivotnmt import bpe, decoding
 from pivotnmt import tensor as T
-from pivotnmt.bleu import BleuError, bleu, sentence_bleu
+from pivotnmt.bleu import BleuError, bleu
 from pivotnmt.data import ParallelCorpus
 from pivotnmt.decoding import (
     BeamConfig,
@@ -71,10 +71,6 @@ def test_bleu_report_fields_stable():
     text = bleu([["a", "b", "c", "d"]], [["a", "b", "c", "d", "e"]]).format()
     for key in ("score=", "p1=", "p2=", "p3=", "p4=", "bp=", "hyp_len=", "ref_len="):
         assert key in text
-
-
-def test_sentence_bleu_smoothed_nonzero():
-    assert sentence_bleu(["a", "b"], ["a", "c"]) > 0.0
 
 
 @settings(max_examples=40, deadline=None)
