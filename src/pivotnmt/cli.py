@@ -10,13 +10,17 @@ adds a manifest of its world's seed and corpus sizes).
 
 A command that takes `--config` reads a JSON object with two sections,
 `world` (a `ToyWorldSpec`) and `settings` (a `recipes.Settings`), each over
-its class defaults; `--set section.key=value` overrides one key. The stage
-commands read the same `settings` as the recipe that runs that stage: `train`
-and `stepwise` take `model` and `pretrain` (`train --schedule-section
-finetune` the `finetune` schedule), `xenc-pretrain` also `p_del`, `p_rep`,
-`d_per` and `ae_weight`, `finetune` takes `finetune`, and `fit-adapter`
-takes `adapter_pooling` and `adapter_pairs`. Any other top-level section, or
-a key or value the classes reject, is invalid-config.
+its class defaults and type-checked by one function, `recipes.overridden`;
+`--set section.key=value` overrides one key. `gen-toy` writes the `world`,
+its seed included. The stage commands read the same `settings` as the recipe
+that runs that stage: `train` and `stepwise` take `model` and `pretrain`
+(`train --schedule-section finetune` the `finetune` schedule),
+`xenc-pretrain` also `p_del`, `p_rep`, `d_per` and `ae_weight`, `finetune`
+takes `finetune`, `fit-adapter` takes `adapter_pooling` and `adapter_pairs`,
+and the decoding commands (`decode`, `pivot-decode`, `distill`,
+`backtranslate`) take `beam`. Every command reads its config before it opens
+any other file. Any other top-level section, or a key or value the classes
+reject, is invalid-config.
 
 Errors exit nonzero with one machine-parseable line on stderr:
     error code=<class> msg="<details>"
@@ -42,10 +46,10 @@ from .adapter import AdapterError, AdapterMatrix, collect_pairs, fit_adapter
 from .bleu import bleu
 from .checkpoint import Checkpoint, CheckpointError
 from .data import CorpusError, NoiseConfig, ParallelCorpus
-from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
+from .decoding import pivot_translate, translate_side, translate_tokens
 from .fileio import write_atomic
 from .model import init_params
-from .recipes import GRIDS, RECIPES, Settings, Workbench, run_recipe
+from .recipes import GRIDS, RECIPES, Settings, Workbench, overridden, run_recipe
 from .toyworld import ToyWorldSpec, write_toy_corpora
 from .training import (
     TrainingError,
@@ -184,13 +188,14 @@ def load_experiment_config(path=None, overrides=()) -> dict:
 
 def experiment_pieces(raw: dict):
     """The (world, settings) of a config: its only sections, each over the
-    defaults of `ToyWorldSpec()` and `Settings()`."""
+    defaults of `ToyWorldSpec()` and `Settings()` and type-checked by
+    `recipes.overridden`."""
     stray = sorted(set(raw) - {"world", "settings"})
     if stray:
         raise CliError("invalid-config", f"unknown config sections {stray} (only world, settings)")
     try:
-        world = ToyWorldSpec(**raw.get("world", {}))
-        settings = Settings.from_dict(raw.get("settings", {}))
+        world = overridden("world", ToyWorldSpec(), raw.get("world", {}))
+        settings = overridden("settings", Settings(), raw.get("settings", {}))
     except Exception as e:
         raise CliError("invalid-config", f"bad experiment config: {e}")
     return world, settings
@@ -230,8 +235,6 @@ def _load_corpus(src, tgt, src_lang="src", tgt_lang="tgt", weight=1.0) -> Parall
 
 def cmd_gen_toy(args):
     world, _ = experiment_pieces(load_experiment_config(args.config, args.set or []))
-    if args.seed is not None:
-        world.seed = args.seed
     out = Path(args.out)
     write_toy_corpora(world, out)
     print(f"wrote toy corpora to {out}")
@@ -354,9 +357,7 @@ def cmd_xenc_pretrain(args):
     lines = _read_token_lines(args.autoenc)
     noise = None
     if not args.clean:
-        noise = NoiseConfig(
-            p_del=settings.p_del, p_rep=settings.p_rep, d_per=settings.d_per, seed=args.seed
-        )
+        noise = NoiseConfig(p_del=settings.p_del, p_rep=settings.p_rep, d_per=settings.d_per)
     ck = crosslingual_pretrain(
         settings.model, joint_vocab, piv_vocab, src_piv, lines, noise, settings.pretrain,
         seed=args.seed, autoenc_weight=settings.ae_weight,
@@ -403,57 +404,56 @@ def cmd_finetune(args):
     return 0
 
 
-def _beam_from_args(args) -> BeamConfig:
-    return BeamConfig(beam_size=args.beam, length_normalization_alpha=args.alpha)
-
-
 def cmd_decode(args):
+    beam = _settings(args).beam
     sv, tv = _vocab(args.src_vocab), _vocab(args.tgt_vocab)
     model = model_of(Checkpoint.load(_require_file(args.ckpt, "checkpoint")), sv, tv)
     adapter = AdapterMatrix.load(_require_file(args.adapter, "adapter")) if args.adapter else None
     sentences = _read_token_lines(args.input)
     prefix = (sv.tag_id(args.tag),) if args.tag else ()
-    hyps = translate_tokens(
-        model, sentences, _beam_from_args(args), adapter=adapter, src_prefix=prefix
-    )
+    hyps = translate_tokens(model, sentences, beam, adapter=adapter, src_prefix=prefix)
     _write_lines(args.output, [bpe.detokenize(h) for h in hyps])
     return 0
 
 
 def cmd_pivot_decode(args):
+    beam = _settings(args).beam
     m1 = model_of(
         Checkpoint.load(_require_file(args.src_piv_ckpt, "checkpoint")),
         _vocab(args.src_vocab), _vocab(args.piv_vocab),
     )
     m2 = model_of(
         Checkpoint.load(_require_file(args.piv_tgt_ckpt, "checkpoint")),
-        _vocab(args.piv_vocab2 or args.piv_vocab), _vocab(args.tgt_vocab),
+        _vocab(args.piv_vocab), _vocab(args.tgt_vocab),
     )
     sentences = _read_token_lines(args.input)
-    hyps = pivot_translate(m1, m2, sentences, _beam_from_args(args))
+    hyps = pivot_translate(m1, m2, sentences, beam)
     _write_lines(args.output, [bpe.detokenize(h) for h in hyps])
     return 0
 
 
-def _translate_pivot_side(args, corpus, ckpt, to_vocab, to_lang):
-    """Replace the pivot side of `corpus` by its translation into `to_lang`."""
+def _translate_pivot_side(args, corpus_files, ckpt, to_vocab, to_lang):
+    """Replace the pivot side of the corpus `corpus_files` by its translation
+    into `to_lang`."""
+    beam = _settings(args).beam
+    corpus = _load_corpus(*corpus_files)
     model = model_of(
         Checkpoint.load(_require_file(ckpt, "checkpoint")), _vocab(args.piv_vocab), _vocab(to_vocab)
     )
     piv_bpe = bpe.BpeModel.load(_require_file(args.piv_bpe, "pivot BPE model"))
-    synth, dropped = translate_side(corpus, model, _beam_from_args(args), "piv", to_lang, piv_bpe)
+    synth, dropped = translate_side(corpus, model, beam, "piv", to_lang, piv_bpe)
     synth.save(args.out_src, args.out_tgt)
     print(f"{len(synth)} synthetic pairs ({dropped} dropped)")
     return 0
 
 
 def cmd_distill(args):
-    corpus = _load_corpus(args.src, args.piv, "src", "piv")
+    corpus = (args.src, args.piv, "src", "piv")
     return _translate_pivot_side(args, corpus, args.teacher, args.tgt_vocab, "tgt")
 
 
 def cmd_backtranslate(args):
-    corpus = _load_corpus(args.piv, args.tgt, "piv", "tgt")
+    corpus = (args.piv, args.tgt, "piv", "tgt")
     return _translate_pivot_side(args, corpus, args.piv_src_ckpt, args.src_vocab, "src")
 
 
@@ -544,11 +544,16 @@ def cmd_report(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, **seed):
-    """--config and --set, plus an int --seed (default 1 unless `seed` overrides)."""
+def _add_config(p):
+    """--config and --set."""
     p.add_argument("--config", default=None, help="JSON config with sections world, settings")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="config override (flags win over the file)")
+
+
+def _add_common(p, **seed):
+    """--config and --set, plus an int --seed (default 1 unless `seed` overrides)."""
+    _add_config(p)
     p.add_argument("--seed", **{"type": int, "default": 1, **seed})
 
 
@@ -567,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-toy", help="generate toy-world corpora")
-    _add_common(p, default=None, help="overrides world.seed")
+    _add_config(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_toy)
 
@@ -655,6 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("decode", help="translate a segmented input file")
+    _add_config(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)
@@ -662,24 +668,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--adapter", default=None)
     p.add_argument("--tag", default=None, help="target-language tag for multilingual models")
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.0)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("pivot-decode", help="two-step decoding via the pivot language")
+    _add_config(p)
     p.add_argument("--src-piv-ckpt", required=True)
     p.add_argument("--piv-tgt-ckpt", required=True)
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--piv-vocab", required=True)
-    p.add_argument("--piv-vocab2", default=None)
     p.add_argument("--tgt-vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.0)
     p.set_defaults(func=cmd_pivot_decode)
 
     p = sub.add_parser("distill", help="teacher-student synthetic data generation")
+    _add_config(p)
     p.add_argument("--teacher", required=True)
     p.add_argument("--piv-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)
@@ -688,11 +691,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--piv", required=True)
     p.add_argument("--out-src", required=True)
     p.add_argument("--out-tgt", required=True)
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.0)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("backtranslate", help="pivot-based back-translation")
+    _add_config(p)
     p.add_argument("--piv-src-ckpt", required=True)
     p.add_argument("--piv-vocab", required=True)
     p.add_argument("--src-vocab", required=True)
@@ -701,8 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--out-src", required=True)
     p.add_argument("--out-tgt", required=True)
-    p.add_argument("--beam", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.0)
     p.set_defaults(func=cmd_backtranslate)
 
     p = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against a reference")

@@ -9,7 +9,7 @@ that a batch's padded target tokens never exceed the token budget.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class NoiseConfig:
     p_del: float = 0.1
     p_rep: float = 0.1
     d_per: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.p_del <= 1.0 and 0.0 <= self.p_rep <= 1.0):
@@ -109,7 +108,7 @@ class NoiseConfig:
             raise CorpusError("d_per must be >= 0")
 
 
-def apply_noise(tokens, cfg: NoiseConfig, rng: np.random.Generator | None = None) -> list:
+def apply_noise(tokens, cfg: NoiseConfig, rng: np.random.Generator) -> list:
     """Corrupt a token list: drop, blank, then locally permute.
 
     Deletion is sampled first at rate p_del; survivors are blanked at rate
@@ -120,8 +119,6 @@ def apply_noise(tokens, cfg: NoiseConfig, rng: np.random.Generator | None = None
     """
     if not tokens:
         raise CorpusError("cannot noise an empty token list")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     n = len(tokens)
     keep = rng.random(n) >= cfg.p_del
     if not keep.any():
@@ -201,7 +198,6 @@ class Batch:
 
     src: np.ndarray  # (B, Ls) int64, padded
     tgt: np.ndarray  # (B, Lt) int64, padded; includes eos, excludes bos
-    n_pairs: int
 
 
 @dataclass
@@ -275,5 +271,5 @@ def make_batches(
             sid, tid = encoded[i]
             src[r, : len(sid)] = sid
             tgt[r, : len(tid)] = tid
-        batches.append(Batch(src=src, tgt=tgt, n_pairs=len(idx)))
+        batches.append(Batch(src=src, tgt=tgt))
     return BatchStream(batches=batches, skipped_over_length=skipped)

@@ -17,22 +17,22 @@ Each sublayer is one fused primitive (`embed`, `heads`, `attention`,
 Only training runs on the tape (`forward_loss`), and even there a frozen
 encoder (no `src_embed`/`encoder` parameter requires a gradient, as in
 step-wise stage 2) runs on arrays and enters the tape as a constant.
-Inference runs only on arrays: `encode`, `decode_states`, `output_logits`,
-`start_decode` and `step_logits` return plain arrays, each checked once for
-NaN/Inf (the encoder memory with its padding positions, the decoder states,
-the logits), and their values equal the tape path's bit for bit: the two
-paths run the same kernels on the same memory layouts. The loss and
-`token_logprobs` take their log-probabilities from `tensor.log_softmax`,
-the one log-softmax that decoding uses too.
+Inference runs only on arrays: `encode`, `token_logprobs`, `start_decode`
+and `step_logits` return plain arrays, each checked once for NaN/Inf (the
+encoder memory with its padding positions, the logits), and their values
+equal the tape path's bit for bit: the two paths run the same kernels on the
+same memory layouts. The loss and `token_logprobs` take their
+log-probabilities from `tensor.log_softmax`, the one log-softmax that
+decoding uses too.
 
 Parameters are bound once per call: `forward_loss`, `encode`,
-`decode_states`, `output_logits` and `start_decode` look up each layer's
-parameters when they start (`_bind`, through a name index built with the
-model) and the layer sequence reads them from that dict. Surgery and
-checkpoint loading replace `.data`, so the next call sees the new arrays.
+`token_logprobs` and `start_decode` look up each layer's parameters when
+they start (`_bind`, through a name index built with the model) and the
+layer sequence reads them from that dict. Surgery and checkpoint loading
+replace `.data`, so the next call sees the new arrays.
 
 Training and scoring run the decoder over whole target prefixes
-(`decode_states`). Decoding runs it one position at a time:
+(`forward_loss`, `token_logprobs`). Decoding runs it one position at a time:
 `start_decode` projects every sentence's encoder memory into each layer's
 cross-attention keys and values once, and each `step_logits` call feeds one
 token per row, appends that position's self-attention key and value per
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -420,23 +420,6 @@ class Seq2SeqModel:
             cache.length = start + lt
         return self._norm(ops, final, "final_norm", x)
 
-    def decode_states(self, tgt_in_ids: np.ndarray, memory: np.ndarray, src_ids: np.ndarray) -> np.ndarray:
-        """Decoder states (B, Lt, d) of whole target prefixes over `memory`
-        (B, Ls, d), checked once for NaN/Inf."""
-        tgt_in_ids = np.asarray(tgt_in_ids)
-        weights = self._stack(T.ArrayOps, "decoder")
-        b, ls, d = memory.shape
-        cross = self._cross_kv(T.ArrayOps, weights[1], memory.reshape(b * ls, d), b)
-        src_pad = np.asarray(src_ids) == self.src_vocab.pad_id
-        states = self._decoder(T.ArrayOps, weights, tgt_in_ids, cross, src_pad)
-        return T.check_finite("decoder states", states.reshape(tgt_in_ids.shape + (d,)))
-
-    def output_logits(self, dec_states: np.ndarray) -> np.ndarray:
-        """Vocabulary logits (positions, V) of decoder states (..., d),
-        checked once for NaN/Inf."""
-        logits = dec_states.reshape(-1, self.config.model_dim) @ self._out_weight(T.ArrayOps)
-        return T.check_finite("output logits", logits)
-
     def decoder_input(self, tgt_ids: np.ndarray) -> np.ndarray:
         dec_in = np.full_like(tgt_ids, self.tgt_vocab.pad_id)
         dec_in[:, 0] = self.tgt_vocab.bos_id
@@ -466,10 +449,15 @@ class Seq2SeqModel:
         )
 
     def token_logprobs(self, batch: Batch, adapter=None) -> tuple:
-        """(logprob of each reference token, pad mask), on plain arrays."""
+        """(logprob of each reference token, pad mask), on plain arrays; the
+        logits are checked once for NaN/Inf."""
         memory = self.encode(batch.src, adapter=adapter)
-        states = self.decode_states(self.decoder_input(batch.tgt), memory, batch.src)
-        logp = T.log_softmax(self.output_logits(states))
+        b, ls, d = memory.shape
+        dec = self._decoder_weights(T.ArrayOps)
+        cross = self._cross_kv(T.ArrayOps, dec[1], memory.reshape(b * ls, d), b)
+        src_pad = batch.src == self.src_vocab.pad_id
+        states = self._decoder(T.ArrayOps, dec, self.decoder_input(batch.tgt), cross, src_pad)
+        logp = T.log_softmax(T.check_finite("output logits", states @ dec[3]))
         flat_tgt = batch.tgt.ravel()
         tok_lp = logp[np.arange(flat_tgt.size), flat_tgt].reshape(batch.tgt.shape)
         return tok_lp, batch.tgt != self.tgt_vocab.pad_id

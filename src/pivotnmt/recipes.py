@@ -31,7 +31,7 @@ from .checkpoint import Checkpoint, CheckpointError
 from .data import MixedCorpus, NoiseConfig, ParallelCorpus, mix_corpora
 from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
 from .model import ModelConfig, init_params
-from .toyworld import ToyWorldSpec, generate_toy_corpora, typed_like
+from .toyworld import ToyWorldSpec, generate_toy_corpora
 from .training import (
     TrainSchedule,
     crosslingual_pretrain,
@@ -80,22 +80,29 @@ class Settings:
     def __post_init__(self):
         if self.synthetic_per_real < 1:
             raise RecipeError(f"synthetic_per_real must be at least 1, got {self.synthetic_per_real}")
+        if self.adapter_pairs < 1:
+            raise RecipeError(f"adapter_pairs must be at least 1, got {self.adapter_pairs}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Settings":
-        """Given keys override the defaults above; a section given in part
-        keeps the rest of that section's default. A section must be an
-        object, and a value must have its default's type (an int may stand
-        for a float)."""
-        return _overridden("settings", cls(), raw)
+
+def typed_like(default, value) -> bool:
+    """Whether a config value may replace `default`: the same type, an int
+    for a float, or a list for a tuple (JSON has no tuples)."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (tuple, list))
+    return isinstance(value, type(default))
 
 
-def _overridden(name: str, base, raw):
-    """The dataclass `base` with the keys of the object `raw` replaced, each
-    checked against the type of the value it replaces."""
+def overridden(name: str, base, raw):
+    """The dataclass `base` with the keys of the object `raw` replaced: a
+    nested dataclass given in part keeps its other values, and any other
+    value must be `typed_like` the one it replaces."""
     if not isinstance(raw, dict):
         raise RecipeError(f"{name} must be an object, got {raw!r}")
     known = {f.name for f in fields(base)}
@@ -105,7 +112,7 @@ def _overridden(name: str, base, raw):
             raise RecipeError(f"unknown key {name}.{key}")
         default = getattr(base, key)
         if is_dataclass(default):
-            value = _overridden(f"{name}.{key}", default, value)
+            value = overridden(f"{name}.{key}", default, value)
         elif not typed_like(default, value):
             raise RecipeError(f"{name}.{key} must be a {type(default).__name__}, got {value!r}")
         values[key] = value
@@ -355,7 +362,6 @@ class Workbench:
                     p_del=self.settings.p_del,
                     p_rep=self.settings.p_rep,
                     d_per=self.settings.d_per,
-                    seed=self.seed,
                 )
                 if noisy
                 else None

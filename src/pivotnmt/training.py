@@ -59,6 +59,8 @@ class TrainSchedule:
     def __post_init__(self):
         if self.checkpoint_interval < 1:
             raise TrainingError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
+        if self.max_tokens < 1:
+            raise TrainingError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 class ScheduleTracker:
@@ -440,17 +442,7 @@ def train_multilingual(
     if kind not in ("many2many", "many2one"):
         raise TrainingError(f"unknown multilingual kind {kind!r}")
     tagged = [(tag_corpus(c, shared_vocab), None) for c in direction_corpora]
-    # target side shares the vocab across directions, so relabel for mixing
-    components = [
-        (
-            ParallelCorpus(
-                pairs=c.pairs, src_lang=c.src_lang, tgt_lang="shared", weight=c.weight
-            ),
-            None,
-        )
-        for c, _ in tagged
-    ]
-    mixed = MixedCorpus(components=components, src_lang="multi", tgt_lang="shared")
+    mixed = MixedCorpus(components=tagged, src_lang="multi", tgt_lang="shared")
     model = init_params(config, shared_vocab, shared_vocab, seed)
     val = tag_corpus(val_corpus, shared_vocab)
     return train(

@@ -4,15 +4,18 @@ against the Workbench stages they reproduce, manifests, exit codes."""
 import argparse
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from pivotnmt import bpe, recipes
 from pivotnmt.checkpoint import Checkpoint
 from pivotnmt.cli import CliError, build_parser, experiment_pieces, load_experiment_config, main
+from pivotnmt.data import ParallelCorpus
+from pivotnmt.decoding import translate_side, translate_tokens
 from pivotnmt.model import ModelConfig, init_params
 from pivotnmt.recipes import Settings, Workbench
-from pivotnmt.training import checkpoint_of
+from pivotnmt.training import checkpoint_of, model_of
 
 TINY_CONFIG = {
     "world": {
@@ -162,6 +165,8 @@ def _config_commands(absent):
         ("[{}]", []),
         ("{}", ["settings.finetune.checkpoint_interval=0"]),
         ("{}", ["settings.synthetic_per_real=0"]),
+        ("{}", ["settings.adapter_pairs=0"]),
+        ("{}", ["settings.finetune.max_tokens=0"]),
     ],
 )
 def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
@@ -169,7 +174,8 @@ def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
     config.write_text(config_text, encoding="utf-8")
     commands = list(_config_commands(str(tmp_path / "absent")))
     assert [c[0] for c in commands] == [
-        "gen-toy", "train", "stepwise", "xenc-pretrain", "fit-adapter", "finetune", "recipe",
+        "gen-toy", "train", "stepwise", "xenc-pretrain", "fit-adapter", "finetune",
+        "decode", "pivot-decode", "distill", "backtranslate", "recipe",
     ]
     for args in commands:
         args += ["--config", str(config)]
@@ -203,7 +209,7 @@ def test_set_overrides_only_the_named_keys_of_a_section():
     assert settings.model.layers == 1
     assert settings.model.model_dim == default.model.model_dim == 64
     assert settings.finetune == default.finetune
-    assert Settings.from_dict(default.to_dict()) == default
+    assert experiment_pieces({"settings": default.to_dict()})[1] == default
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +321,54 @@ def test_finetune_schedules_follow_settings_finetune(staged, tmp_path):
     assert Checkpoint.load(tuned).provenance["updates"] == 2
 
 
-def test_gen_toy_seed_flag_overrides_the_world_seed_only_when_given(tmp_path):
+def test_decoding_commands_decode_with_settings_beam(staged, tmp_path):
+    path, config = staged
+    toy = Path(config).parent / "toy"
+    beam = ["settings.beam.beam_size=3", "settings.beam.max_length_constant=2"]
+    _, settings = experiment_pieces(load_experiment_config(config, beam))
+    _, tiny = experiment_pieces(load_experiment_config(config))
+    sv, pv = (bpe.Vocabulary.load(path(lang, "vocab")) for lang in ("src", "piv"))
+    # untrained src->piv and piv->src models: any piv->X model serves as a teacher
+    ckpt = {}
+    for name, (a, b) in {"src-piv": (sv, pv), "piv-src": (pv, sv)}.items():
+        ckpt[name] = tmp_path / f"{name}.ckpt"
+        checkpoint_of(init_params(settings.model, a, b, 0), {}).save(ckpt[name])
+    flags = [x for item in beam for x in ("--set", item)]
+
+    out = tmp_path / "decoded.txt"
+    assert main([
+        "decode", "--config", config, *flags, "--ckpt", str(ckpt["src-piv"]),
+        "--src-vocab", path("src", "vocab"), "--tgt-vocab", path("piv", "vocab"),
+        "--input", path("src", "src-piv.val.src"), "--output", str(out),
+    ]) == 0
+    model = model_of(Checkpoint.load(ckpt["src-piv"]), sv, pv)
+    lines = Path(path("src", "src-piv.val.src")).read_text(encoding="utf-8").splitlines()
+    sentences = [line.split() for line in lines]
+    want = translate_tokens(model, sentences, settings.beam)
+    assert want != translate_tokens(model, sentences, tiny.beam)  # the settings matter
+    assert out.read_text(encoding="utf-8").splitlines() == [bpe.detokenize(h) for h in want]
+
+    got = [tmp_path / "distilled.src", tmp_path / "distilled.tgt"]
+    assert main([
+        "distill", "--config", config, *flags, "--teacher", str(ckpt["piv-src"]),
+        "--piv-vocab", path("piv", "vocab"), "--tgt-vocab", path("src", "vocab"),
+        "--piv-bpe", path("piv", "bpe"), "--src", str(toy / "src-piv.val.src"),
+        "--piv", str(toy / "src-piv.val.piv"), "--out-src", str(got[0]), "--out-tgt", str(got[1]),
+    ]) == 0
+    corpus = ParallelCorpus.load(toy / "src-piv.val.src", toy / "src-piv.val.piv", "src", "piv")
+    teacher = model_of(Checkpoint.load(ckpt["piv-src"]), pv, sv)
+    synth, _ = translate_side(corpus, teacher, settings.beam, "piv", "tgt",
+                              bpe.BpeModel.load(path("piv", "bpe")))
+    assert len(synth)
+    want = [tmp_path / "want.src", tmp_path / "want.tgt"]
+    synth.save(*want)
+    assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
+
+def test_gen_toy_world_seed_comes_from_the_config(tmp_path):
     config = tmp_path / "world.json"
     config.write_text(json.dumps({"world": {**TINY_CONFIG["world"], "seed": 7}}), encoding="utf-8")
-    for extra, seed in (([], 7), (["--seed", "9"], 9)):
+    for extra, seed in (([], 7), (["--set", "world.seed=9"], 9)):
         out = tmp_path / str(seed)
         assert main(["gen-toy", "--config", str(config), "--out", str(out), *extra]) == 0
         assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["seed"] == seed
@@ -422,9 +472,9 @@ def test_exit_codes_follow_the_exception_class(artifacts, capsys):
     # bad magic: a malformed input file, like a bad BPE file
     assert main(_decode(p, "bad", "a")) == 4
     pivot = ["pivot-decode", "--src-piv-ckpt", p["ab"], "--piv-tgt-ckpt", p["bc"],
-             "--src-vocab", p["a"], "--piv-vocab", p["b"], "--piv-vocab2", p["b2"],
+             "--src-vocab", p["a"], "--piv-vocab", p["b"],
              "--tgt-vocab", p["c"], "--input", p["input"], "--output", p["output"]]
-    # each model matches its own vocabularies, but the pivot vocabularies differ
+    # the second model was trained against another pivot vocabulary
     assert main(pivot) == 5
     err = capsys.readouterr().err.splitlines()
     codes = [line.split()[1] for line in err if line.startswith("error ")]

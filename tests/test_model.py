@@ -32,7 +32,7 @@ def random_batch(model, rng, b=3, ls=5, lt=6) -> Batch:
     # right-pad a ragged tail
     src[0, -1] = sv.pad_id
     tgt[1, -2:] = tv.pad_id
-    return Batch(src=src, tgt=tgt, n_pairs=b)
+    return Batch(src=src, tgt=tgt)
 
 
 def test_config_head_divisibility():
@@ -110,7 +110,7 @@ def test_untrained_loss_close_to_log_vocab():
     b = 16
     src = rng.integers(4, v + 4, size=(b, 6))
     tgt = rng.integers(4, v + 4, size=(b, 6))
-    loss = model.forward_loss(Batch(src=src, tgt=tgt, n_pairs=b)).item()
+    loss = model.forward_loss(Batch(src=src, tgt=tgt)).item()
     expected = math.log(v + 4)
     assert abs(loss - expected) / expected < 0.10
 
@@ -120,7 +120,17 @@ def test_all_padding_target_rejected():
     src = np.array([[4, 5]])
     tgt = np.full((1, 3), model.tgt_vocab.pad_id)
     with pytest.raises(ModelError):
-        model.forward_loss(Batch(src=src, tgt=tgt, n_pairs=1))
+        model.forward_loss(Batch(src=src, tgt=tgt))
+
+
+def tape_decoder(model, tgt_in, memory, src):
+    """(decoder states (b * lt, d), logits (b * lt, V)) of whole target
+    prefixes tgt_in (b, lt) over `memory` (b, Ls, d), on the tape path."""
+    b, ls, d = memory.shape
+    dec = model._decoder_weights(T)
+    cross = model._cross_kv(T, dec[1], T.Tensor(memory.reshape(b * ls, d)), b)
+    states = model._decoder(T, dec, tgt_in, cross, src == model.src_vocab.pad_id)
+    return states.data, T.matmul(states, dec[3]).data
 
 
 def test_causal_masking_by_perturbation():
@@ -129,12 +139,12 @@ def test_causal_masking_by_perturbation():
     src = np.array([[4, 5, 6]])
     tgt_in = np.array([[1, 5, 6, 7]])  # bos + tokens
     memory = model.encode(src)
-    base = model.decode_states(tgt_in, memory, src)
+    base, _ = tape_decoder(model, tgt_in, memory, src)
     for t in range(1, 4):
         perturbed = tgt_in.copy()
         perturbed[0, t:] = rng.integers(4, 9, size=4 - t)
-        out = model.decode_states(perturbed, model.encode(src), src)
-        np.testing.assert_allclose(out[0, :t], base[0, :t], atol=1e-10)
+        out, _ = tape_decoder(model, perturbed, model.encode(src), src)
+        np.testing.assert_allclose(out[:t], base[:t], atol=1e-10)
 
 
 def test_padding_invariance_token_logprobs():
@@ -145,7 +155,6 @@ def test_padding_invariance_token_logprobs():
     wider = Batch(
         src=np.pad(batch.src, ((0, 0), (0, 3)), constant_values=model.src_vocab.pad_id),
         tgt=np.pad(batch.tgt, ((0, 0), (0, 2)), constant_values=model.tgt_vocab.pad_id),
-        n_pairs=batch.n_pairs,
     )
     wide_logp, wide_mask = model.token_logprobs(wider)
     lt = batch.tgt.shape[1]
@@ -259,7 +268,7 @@ STEP_RTOL, STEP_ATOL = 1e-4, 1e-5
 
 def full_prefix_logits(model, prefix, memory, src):
     """Logits of each row's last position, re-running the decoder over the whole prefix."""
-    logits = model.output_logits(model.decode_states(prefix, memory, src))
+    _, logits = tape_decoder(model, prefix, memory, src)
     return logits.reshape(prefix.shape[0], prefix.shape[1], -1)[:, -1, :]
 
 
@@ -524,18 +533,14 @@ def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
     states = model._decoder(T, dec, dec_in, cross, src == model.src_vocab.pad_id)
     logits = T.matmul(states, dec[3]).data
     arr_memory = model.encode(src, adapter=adapter)
-    arr_states = model.decode_states(dec_in, arr_memory, src)
-    arr_logits = model.output_logits(arr_states)
-    assert type(arr_memory) is type(arr_states) is type(arr_logits) is np.ndarray
+    assert type(arr_memory) is np.ndarray
     assert np.array_equal(arr_memory, memory.data.reshape(arr_memory.shape))
-    assert np.array_equal(arr_states, states.data.reshape(arr_states.shape))
-    assert np.array_equal(arr_logits, logits)
 
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     want = logp[np.arange(tgt.size), tgt.ravel()].reshape(tgt.shape)
-    got, mask = model.token_logprobs(Batch(src=src, tgt=tgt, n_pairs=3), adapter=adapter)
-    assert np.array_equal(got, want)
+    got, mask = model.token_logprobs(Batch(src=src, tgt=tgt), adapter=adapter)
+    assert type(got) is np.ndarray and np.array_equal(got, want)
     assert np.array_equal(mask, tgt != tv.pad_id)
 
     # incremental decoding: keep, duplicate and drop rows between steps
@@ -599,7 +604,7 @@ def test_non_finite_parameter_raises_on_every_inference_path(name, index, poolin
     with pytest.raises(T.NonFiniteError):
         beam_search_batch(model, [list(row[row != model.src_vocab.pad_id]) for row in src], BeamConfig())
     with pytest.raises(T.NonFiniteError):
-        model.token_logprobs(Batch(src=src, tgt=tgt, n_pairs=3))
+        model.token_logprobs(Batch(src=src, tgt=tgt))
     if pooling_reads_it:
         with pytest.raises(T.NonFiniteError):
             collect_pairs(corpus, model, model)

@@ -271,7 +271,7 @@ def test_pairs_longer_than_max_len_are_skipped_and_training_completes():
     assert model.config.max_len == 16
     stream = make_batches(too_long, sv, tv, 64, seed=0, max_len=model.config.max_len)
     assert stream.skipped_over_length == 1
-    assert sum(b.n_pairs for b in stream.batches) == len(corpus.pairs)
+    assert sum(b.src.shape[0] for b in stream.batches) == len(corpus.pairs)
     # the budget alone lets the 21-token source through
     assert make_batches(too_long, sv, tv, 64, seed=0).skipped_over_length == 0
     ck = train(model, too_long, too_long, quick_schedule(max_updates=20), seed=0)
