@@ -13,14 +13,19 @@ A command that takes `--config` reads a JSON object with two sections,
 its class defaults and type-checked by one function, `recipes.overridden`;
 `--set section.key=value` overrides one key. `gen-toy` writes the `world`,
 its seed included. The stage commands read the same `settings` as the recipe
-that runs that stage: `train` and `stepwise` take `model` and `pretrain`
-(`train --schedule-section finetune` the `finetune` schedule),
-`xenc-pretrain` also `p_del`, `p_rep`, `d_per` and `ae_weight`, `finetune`
-takes `finetune`, `fit-adapter` takes `adapter_pooling` and `adapter_pairs`,
-and the decoding commands (`decode`, `pivot-decode`, `distill`,
-`backtranslate`) take `beam`. Every command reads its config before it opens
-any other file. Any other top-level section, or a key or value the classes
-reject, is invalid-config.
+that runs that stage: `train` takes `model` and `pretrain` (`train
+--schedule-section finetune` the `finetune` schedule), `stepwise` only
+`pretrain` (stage 2 has its stage 1's architecture), `xenc-pretrain`
+`model`, `pretrain`, `noise` and `ae_weight`, `finetune` takes `finetune`,
+`fit-adapter` takes `adapter_pooling` and `adapter_pairs`, and the decoding
+commands (`decode`, `pivot-decode`, `distill`, `backtranslate`) take `beam`.
+Every command reads its config before it opens any other file. Any other
+top-level section, or a key or value the classes reject, is invalid-config.
+
+Step-wise pre-training is two commands, as in the recipes: `train
+--recipe-name pretrain-src-piv-joint` over the joint source+pivot
+vocabulary (or `xenc-pretrain`) trains stage 1, and `stepwise --stage1`
+trains stage 2 on its frozen encoder.
 
 Errors exit nonzero with one machine-parseable line on stderr:
     error code=<class> msg="<details>"
@@ -45,7 +50,7 @@ from . import bpe
 from .adapter import AdapterError, AdapterMatrix, collect_pairs, fit_adapter
 from .bleu import bleu
 from .checkpoint import Checkpoint, CheckpointError
-from .data import CorpusError, NoiseConfig, ParallelCorpus
+from .data import CorpusError, ParallelCorpus
 from .decoding import pivot_translate, translate_side, translate_tokens
 from .fileio import write_atomic
 from .model import init_params
@@ -313,33 +318,16 @@ def cmd_transfer_init(args):
     return 0
 
 
-# stage-1 inputs: a given stage-1 checkpoint needs none of them
-_STAGE1_FLAGS = ("piv-vocab", "src-piv-src", "src-piv-tgt", "src-piv-val-src", "src-piv-val-tgt")
-
-
 def cmd_stepwise(args):
     settings = _settings(args)
-    missing = [f"--{f}" for f in _STAGE1_FLAGS if getattr(args, f.replace("-", "_")) is None]
-    if args.stage1 is None and missing:
-        raise CliError("usage", f"without --stage1, stepwise needs {', '.join(missing)}")
-    joint_vocab = _vocab(args.joint_vocab)
-    tgt_vocab = _vocab(args.tgt_vocab)
+    stage1 = Checkpoint.load(_require_file(args.stage1, "stage-1 checkpoint"))
     piv_tgt = (
         _load_corpus(args.piv_tgt_src, args.piv_tgt_tgt, "piv", "tgt"),
         _load_corpus(args.piv_tgt_val_src, args.piv_tgt_val_tgt, "piv", "tgt"),
     )
-    if args.stage1 is None:
-        stage1, piv_vocab = None, _vocab(args.piv_vocab)
-        src_piv = (
-            _load_corpus(args.src_piv_src, args.src_piv_tgt, "src", "piv"),
-            _load_corpus(args.src_piv_val_src, args.src_piv_val_tgt, "src", "piv"),
-        )
-    else:
-        stage1 = Checkpoint.load(_require_file(args.stage1, "stage-1 checkpoint"))
-        piv_vocab = src_piv = None
     ck = stepwise_pretrain(
-        settings.model, joint_vocab, piv_vocab, tgt_vocab, src_piv, piv_tgt,
-        settings.pretrain, seed=args.seed, stage1_ckpt=stage1,
+        stage1, _vocab(args.joint_vocab), _vocab(args.tgt_vocab), piv_tgt, settings.pretrain,
+        seed=args.seed,
     )
     ck.save(args.out)
     print(f"step-wise checkpoint -> {args.out}")
@@ -355,11 +343,9 @@ def cmd_xenc_pretrain(args):
         _load_corpus(args.src_val, args.tgt_val, "src", "piv"),
     )
     lines = _read_token_lines(args.autoenc)
-    noise = None
-    if not args.clean:
-        noise = NoiseConfig(p_del=settings.p_del, p_rep=settings.p_rep, d_per=settings.d_per)
     ck = crosslingual_pretrain(
-        settings.model, joint_vocab, piv_vocab, src_piv, lines, noise, settings.pretrain,
+        settings.model, joint_vocab, piv_vocab, src_piv, lines,
+        None if args.clean else settings.noise, settings.pretrain,
         seed=args.seed, autoenc_weight=settings.ae_weight,
     )
     ck.save(args.out)
@@ -617,16 +603,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transfer_init)
 
-    p = sub.add_parser("stepwise", help="step-wise pre-training (two stages, frozen encoder)")
+    p = sub.add_parser("stepwise", help="step-wise stage 2 on a stage-1 encoder (frozen)")
     _add_common(p)
+    p.add_argument("--stage1", required=True,
+                   help="stage-1 checkpoint over the joint vocabulary "
+                        "(train --recipe-name pretrain-src-piv-joint, or xenc-pretrain)")
     for flag in (
         "joint-vocab", "tgt-vocab",
         "piv-tgt-src", "piv-tgt-tgt", "piv-tgt-val-src", "piv-tgt-val-tgt",
     ):
         p.add_argument(f"--{flag}", required=True)
-    for flag in _STAGE1_FLAGS:
-        p.add_argument(f"--{flag}", help="stage-1 input, required without --stage1")
-    p.add_argument("--stage1", default=None, help="existing stage-1 checkpoint")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stepwise)
 

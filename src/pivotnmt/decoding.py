@@ -65,6 +65,8 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise DecodeError("beam_size must be >= 1")
+        if self.max_length_factor < 0 or self.max_length_constant < 0:
+            raise DecodeError("max_length_factor and max_length_constant must be >= 0")
 
     def cap(self, input_len: int) -> int:
         return int(self.max_length_factor * input_len) + self.max_length_constant

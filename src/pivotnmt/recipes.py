@@ -46,6 +46,10 @@ from .training import (
 log = logging.getLogger(__name__)
 
 
+LANGS = ("src", "piv", "tgt")
+JOINT = ("src", "piv")  # the languages of the joint subwords
+
+
 class RecipeError(Exception):
     pass
 
@@ -66,9 +70,7 @@ class Settings:
         )
     )
     merge_count: int = 300
-    p_del: float = 0.1
-    p_rep: float = 0.1
-    d_per: int = 3
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
     ae_weight: float = 1.0
     adapter_pairs: int = 2000
     adapter_pooling: str = "average"
@@ -78,10 +80,10 @@ class Settings:
     synthetic_per_real: int = 2
 
     def __post_init__(self):
-        if self.synthetic_per_real < 1:
-            raise RecipeError(f"synthetic_per_real must be at least 1, got {self.synthetic_per_real}")
-        if self.adapter_pairs < 1:
-            raise RecipeError(f"adapter_pairs must be at least 1, got {self.adapter_pairs}")
+        for key in ("synthetic_per_real", "adapter_pairs", "distill_pairs", "backtranslate_pairs",
+                    "ae_weight"):
+            if getattr(self, key) < 1:
+                raise RecipeError(f"{key} must be at least 1, got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -188,22 +190,21 @@ class Workbench:
     # -- text resources ------------------------------------------------------
 
     def lang_lines(self, lang: str) -> list:
-        c = self.corpora
-        if lang == "src":
-            return _words([s for s, _ in c["src-piv"].pairs]) + _words(
-                [s for s, _ in c["src-tgt"].pairs]
-            )
-        if lang == "piv":
-            return (
-                _words([t for _, t in c["src-piv"].pairs])
-                + _words([s for s, _ in c["piv-tgt"].pairs])
-                + _words(c["mono-piv"])
-            )
-        if lang == "tgt":
-            return _words([t for _, t in c["piv-tgt"].pairs]) + _words(
-                [t for _, t in c["src-tgt"].pairs]
-            )
-        raise RecipeError(f"unknown language {lang}")
+        """The training text of `lang`: its side of each parallel training
+        corpus, then its monolingual text, in the order of `corpora`."""
+        lines = []
+        for name, corpus in self.corpora.items():
+            if "." in name:  # a validation or test split
+                continue
+            if name == f"mono-{lang}":
+                lines += corpus
+            elif isinstance(corpus, ParallelCorpus):
+                for side, side_lang in enumerate((corpus.src_lang, corpus.tgt_lang)):
+                    if side_lang == lang:
+                        lines += [pair[side] for pair in corpus.pairs]
+        if not lines:
+            raise RecipeError(f"unknown language {lang}")
+        return _words(lines)
 
     def directed(self, src: str, tgt: str, split: str = "") -> ParallelCorpus:
         """The src->tgt pairs of a split ("" for training, ".val"), flipped
@@ -213,84 +214,62 @@ class Workbench:
             return self.corpora[name]
         return self.corpora[f"{tgt}-{src}{split}"].flipped()
 
-    def bpe_sep(self, lang: str) -> bpe.BpeModel:
+    def bpe_of(self, langs: tuple) -> bpe.BpeModel:
+        """Subword model learned on the training text of `langs`."""
         return self._cached(
-            f"bpe-sep-{lang}",
-            lambda: bpe.learn_bpe(self.lang_lines(lang), self.settings.merge_count, (lang,)),
+            f"bpe-{'+'.join(langs)}",
+            lambda: bpe.learn_bpe(
+                [line for lang in langs for line in self.lang_lines(lang)],
+                self.settings.merge_count,
+                langs,
+            ),
         )
+
+    def bpe_sep(self, lang: str) -> bpe.BpeModel:
+        return self.bpe_of((lang,))
 
     def bpe_joint(self) -> bpe.BpeModel:
-        return self._cached(
-            "bpe-joint",
-            lambda: bpe.learn_bpe(
-                self.lang_lines("src") + self.lang_lines("piv"),
-                self.settings.merge_count,
-                ("src", "piv"),
-            ),
-        )
-
-    def bpe_multi(self) -> bpe.BpeModel:
-        return self._cached(
-            "bpe-multi",
-            lambda: bpe.learn_bpe(
-                self.lang_lines("src") + self.lang_lines("piv") + self.lang_lines("tgt"),
-                self.settings.merge_count,
-                ("src", "piv", "tgt"),
-            ),
-        )
+        return self.bpe_of(JOINT)
 
     def seg_lines(self, model: bpe.BpeModel, lines) -> list:
         return [bpe.apply_bpe(model, l) for l in lines]
 
     def seg_corpus(self, corpus: ParallelCorpus, src_bpe, tgt_bpe) -> ParallelCorpus:
         pairs = [
-            (
-                bpe.apply_bpe(src_bpe, " ".join(s)),
-                bpe.apply_bpe(tgt_bpe, " ".join(t)),
-            )
+            (bpe.apply_bpe(src_bpe, " ".join(s)), bpe.apply_bpe(tgt_bpe, " ".join(t)))
             for s, t in corpus.pairs
         ]
-        return ParallelCorpus(
-            pairs=pairs,
-            src_lang=corpus.src_lang,
-            tgt_lang=corpus.tgt_lang,
-            weight=corpus.weight,
-        )
+        return replace(corpus, pairs=pairs)
+
+    def segmented(self, direction: str, src_bpe, tgt_bpe, splits=("", ".val")) -> tuple:
+        """The "a-b" `direction`'s corpus of each of `splits` (see `directed`),
+        segmented by `src_bpe` and `tgt_bpe`."""
+        a, b = direction.split("-")
+        return tuple(self.seg_corpus(self.directed(a, b, s), src_bpe, tgt_bpe) for s in splits)
+
+    def vocab_of(self, seg_langs: tuple, counted: tuple = (), blank: bool = False,
+                 tags: tuple = ()) -> bpe.Vocabulary:
+        """Vocabulary of the training text of `counted` (by default
+        `seg_langs`) segmented by `bpe_of(seg_langs)`, with `<BLANK>` when
+        `blank` and the language tags `tags`."""
+        counted = counted or seg_langs
+
+        def build():
+            lines = [line for lang in counted for line in self.lang_lines(lang)]
+            seg = self.seg_lines(self.bpe_of(seg_langs), lines)
+            return bpe.build_vocab([seg], include_blank=blank, language_tags=tags)
+
+        return self._cached(f"vocab-{seg_langs}-{counted}-{blank}-{tags}", build)
 
     def vocab_sep(self, lang: str) -> bpe.Vocabulary:
-        def build():
-            seg = self.seg_lines(self.bpe_sep(lang), self.lang_lines(lang))
-            return bpe.build_vocab([seg])
-
-        return self._cached(f"vocab-sep-{lang}", build)
+        return self.vocab_of((lang,))
 
     def vocab_joint(self, with_blank: bool) -> bpe.Vocabulary:
-        def build():
-            joint = self.bpe_joint()
-            seg = self.seg_lines(joint, self.lang_lines("src") + self.lang_lines("piv"))
-            return bpe.build_vocab([seg], include_blank=with_blank)
-
-        return self._cached(f"vocab-joint-{with_blank}", build)
+        return self.vocab_of(JOINT, blank=with_blank)
 
     def vocab_piv_jointseg(self) -> bpe.Vocabulary:
         """Pivot output vocabulary over joint-BPE segmentations."""
-
-        def build():
-            seg = self.seg_lines(self.bpe_joint(), self.lang_lines("piv"))
-            return bpe.build_vocab([seg])
-
-        return self._cached("vocab-piv-jointseg", build)
-
-    def vocab_multi(self) -> bpe.Vocabulary:
-        def build():
-            multi = self.bpe_multi()
-            seg = self.seg_lines(
-                multi,
-                self.lang_lines("src") + self.lang_lines("piv") + self.lang_lines("tgt"),
-            )
-            return bpe.build_vocab([seg], language_tags=("src", "piv", "tgt"))
-
-        return self._cached("vocab-multi", build)
+        return self.vocab_of(JOINT, ("piv",))
 
     def stage1_vocab(self, stage1: str) -> bpe.Vocabulary:
         """Joint source vocabulary of a step-wise stage 1 (see `ckpt_stepwise`):
@@ -304,15 +283,12 @@ class Workbench:
 
         def build():
             a, b = direction.split("-")
-            seg = self.seg_corpus(self.directed(a, b), self.bpe_sep(a), self.bpe_sep(b))
-            seg_val = self.seg_corpus(self.directed(a, b, ".val"), self.bpe_sep(a), self.bpe_sep(b))
             model = init_params(
                 self.settings.model, self.vocab_sep(a), self.vocab_sep(b), self.seed
             )
             return train(
                 model,
-                seg,
-                seg_val,
+                *self.segmented(direction, self.bpe_sep(a), self.bpe_sep(b)),
                 self.settings.pretrain,
                 seed=self.seed,
                 recipe=f"pretrain-{direction}-sep",
@@ -325,8 +301,6 @@ class Workbench:
 
         def build():
             joint = self.bpe_joint()
-            seg = self.seg_corpus(self.corpora["src-piv"], joint, joint)
-            seg_val = self.seg_corpus(self.corpora["src-piv.val"], joint, joint)
             model = init_params(
                 self.settings.model,
                 self.vocab_joint(with_blank=False),
@@ -335,8 +309,7 @@ class Workbench:
             )
             return train(
                 model,
-                seg,
-                seg_val,
+                *self.segmented("src-piv", joint, joint),
                 self.settings.pretrain,
                 seed=self.seed,
                 recipe="pretrain-src-piv-joint",
@@ -349,30 +322,20 @@ class Workbench:
 
         def build():
             joint = self.bpe_joint()
-            seg = self.seg_corpus(self.corpora["src-piv"], joint, joint)
-            seg_val = self.seg_corpus(self.corpora["src-piv.val"], joint, joint)
+            src_piv = self.segmented("src-piv", joint, joint)
             if ae_source == "mono":
                 lines = self.seg_lines(joint, _words(self.corpora["mono-piv"]))
             elif ae_source == "parallel":
-                lines = [t for _, t in seg.pairs]
+                lines = [t for _, t in src_piv[0].pairs]
             else:
                 raise RecipeError(f"unknown autoencoding source {ae_source}")
-            noise = (
-                NoiseConfig(
-                    p_del=self.settings.p_del,
-                    p_rep=self.settings.p_rep,
-                    d_per=self.settings.d_per,
-                )
-                if noisy
-                else None
-            )
             return crosslingual_pretrain(
                 self.settings.model,
                 self.vocab_joint(with_blank=noisy),
                 self.vocab_piv_jointseg(),
-                (seg, seg_val),
+                src_piv,
                 lines,
-                noise,
+                self.settings.noise if noisy else None,
                 self.settings.pretrain,
                 seed=self.seed,
                 autoenc_weight=self.settings.ae_weight,
@@ -390,46 +353,34 @@ class Workbench:
             else:
                 ae_source, kind = stage1.split("-")
                 first = self.ckpt_xenc(ae_source, noisy=kind == "noisy")
-            joint = self.bpe_joint()
-            piv_tgt = self.seg_corpus(self.corpora["piv-tgt"], joint, self.bpe_sep("tgt"))
-            piv_tgt_val = self.seg_corpus(
-                self.corpora["piv-tgt.val"], joint, self.bpe_sep("tgt")
-            )
             return stepwise_pretrain(
-                self.settings.model,
+                first,
                 self.stage1_vocab(stage1),
-                self.vocab_piv_jointseg(),
                 self.vocab_sep("tgt"),
-                (None, None),  # stage 1 supplied
-                (piv_tgt, piv_tgt_val),
+                self.segmented("piv-tgt", self.bpe_joint(), self.bpe_sep("tgt")),
                 self.settings.pretrain,
                 seed=self.seed,
-                stage1_ckpt=first,
             )
 
         return self._cached(f"stepwise-{stage1}", build)
 
     def ckpt_multilingual(self, kind: str, zeroshot: bool = False) -> Checkpoint:
         def build():
-            multi = self.bpe_multi()
-
-            def seg(a, b, split=""):
-                return self.seg_corpus(self.directed(a, b, split), multi, multi)
-
+            multi = self.bpe_of(LANGS)
             if kind == "many2one":
-                directions = [("src", "tgt"), ("piv", "tgt")]
+                directions = ["src-tgt", "piv-tgt"]
             else:
-                directions = [("src", "piv"), ("piv", "src"), ("piv", "tgt"), ("tgt", "piv")]
+                directions = ["src-piv", "piv-src", "piv-tgt", "tgt-piv"]
                 if not zeroshot:
-                    directions += [("src", "tgt"), ("tgt", "src")]
-            val = seg("piv", "tgt", ".val") if zeroshot else seg("src", "tgt", ".val")
+                    directions += ["src-tgt", "tgt-src"]
+            (val,) = self.segmented("piv-tgt" if zeroshot else "src-tgt", multi, multi, (".val",))
             # more directions per epoch: scale the budget alongside the data
             pretrain = self.settings.pretrain
             schedule = replace(pretrain, max_updates=int(pretrain.max_updates * 1.5))
             return train_multilingual(
                 self.settings.model,
-                self.vocab_multi(),
-                [seg(a, b) for a, b in directions],
+                self.vocab_of(LANGS, tags=LANGS),
+                [self.segmented(d, multi, multi, ("",))[0] for d in directions],
                 val,
                 schedule,
                 seed=self.seed,
@@ -446,7 +397,6 @@ class Workbench:
         pools both sides through the shared cross-lingual encoder."""
 
         def build():
-            corpus = self.corpora["src-piv"]
             if flavor == "plain":
                 enc_src = model_of(
                     self.ckpt_sep("src-piv"), self.vocab_sep("src"), self.vocab_sep("piv")
@@ -454,16 +404,16 @@ class Workbench:
                 enc_piv = model_of(
                     self.ckpt_sep("piv-tgt"), self.vocab_sep("piv"), self.vocab_sep("tgt")
                 )
-                seg = self.seg_corpus(corpus, self.bpe_sep("src"), self.bpe_sep("piv"))
+                src_bpe, piv_bpe = self.bpe_sep("src"), self.bpe_sep("piv")
             elif flavor == "xenc":
                 shared = model_of(
                     self.ckpt_xenc(), self.vocab_joint(True), self.vocab_piv_jointseg()
                 )
                 enc_src = enc_piv = shared
-                joint = self.bpe_joint()
-                seg = self.seg_corpus(corpus, joint, joint)
+                src_bpe = piv_bpe = self.bpe_joint()
             else:
                 raise RecipeError(f"unknown adapter flavor {flavor}")
+            (seg,) = self.segmented("src-piv", src_bpe, piv_bpe, ("",))
             pooled = collect_pairs(
                 seg,
                 enc_src,
@@ -578,10 +528,10 @@ def _direct(wb) -> System:
 
 def _multilingual(wb, kind, zeroshot=False) -> System:
     ck = wb.ckpt_multilingual(kind, zeroshot=zeroshot)
-    vocab = wb.vocab_multi()
+    vocab = wb.vocab_of(LANGS, tags=LANGS)
     decode = partial(translate_tokens, model_of(ck, vocab, vocab), cfg=wb.settings.beam,
                      src_prefix=(vocab.tag_id("tgt"),))
-    return System(wb.bpe_multi(), decode, ck.content_hash())
+    return System(wb.bpe_of(LANGS), decode, ck.content_hash())
 
 
 def _transfer(wb, xenc, with_adapter) -> System:

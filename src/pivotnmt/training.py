@@ -1,7 +1,9 @@
 """Training loops and transfer orchestration.
 
 Covers the direct and multilingual baselines, plain transfer surgery,
-step-wise pre-training with encoder freezing, cross-lingual encoder
+step-wise pre-training (stage 1 is an ordinary `train` run, or
+`crosslingual_pretrain`, over the joint source+pivot vocabulary; stage 2
+trains pivot->target on its frozen encoder), cross-lingual encoder
 pre-training over a translation+denoising mixture, and fine-tuning with an
 optional fixed adapter. Freezing a parameter group means `requires_grad` off
 for the run: the group is never differentiated or updated. The learning-rate
@@ -328,34 +330,20 @@ def check_vocab_coverage(corpus_side_tokens, vocab: Vocabulary, what: str):
 
 
 def stepwise_pretrain(
-    config: ModelConfig,
+    stage1_ckpt: Checkpoint,
     joint_vocab: Vocabulary,
-    piv_vocab: Vocabulary | None,
     tgt_vocab: Vocabulary,
-    src_piv: tuple | None,
     piv_tgt: tuple,
     schedule: TrainSchedule,
     seed: int,
-    stage1_ckpt: Checkpoint | None = None,
 ) -> Checkpoint:
-    """Two consecutive stages on one encoder: source->pivot, then pivot->target
+    """Step-wise stage 2: pivot->target on the encoder of a trained stage 1,
     with the encoder side frozen.
 
-    The encoder reads a joint source+pivot vocabulary in both stages. A
-    pre-trained stage-1 checkpoint (e.g. a cross-lingual encoder) can be
-    passed in to replace stage 1; the stage-1 corpora `src_piv` and target
-    vocabulary `piv_vocab` are then unused (None).
+    Stage 1 is a source->pivot model (or a cross-lingual encoder) whose
+    encoder reads the joint source+pivot vocabulary; stage 2 keeps its
+    architecture and encoder-side parameters and trains a new decoder.
     """
-    if stage1_ckpt is None:
-        stage1_model = init_params(config, joint_vocab, piv_vocab, seed)
-        stage1_ckpt = train(
-            stage1_model,
-            src_piv[0],
-            src_piv[1],
-            schedule,
-            seed=seed,
-            recipe="stepwise.stage1",
-        )
     if stage1_ckpt.src_vocab_hash != joint_vocab.content_hash():
         raise TrainingError("stage-1 checkpoint does not use the joint vocabulary")
 

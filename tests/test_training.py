@@ -405,30 +405,22 @@ def test_stepwise_stage2_keeps_encoder_hash_and_checks_coverage():
     joint_vocab = vocab_of([[w] for w in joint_words])
     piv_vocab = vocab_of([t for _, t in src_piv.pairs])
     tgt_vocab = vocab_of([t for _, t in piv_tgt.pairs])
+    stage1 = train(init_params(tiny_cfg(), joint_vocab, piv_vocab, seed=0), src_piv, src_piv_val,
+                   quick_schedule(max_updates=30), seed=0)
     ck = stepwise_pretrain(
-        tiny_cfg(),
-        joint_vocab,
-        piv_vocab,
-        tgt_vocab,
-        (src_piv, src_piv_val),
-        (piv_tgt, piv_tgt_val),
-        quick_schedule(max_updates=30),
+        stage1, joint_vocab, tgt_vocab, (piv_tgt, piv_tgt_val), quick_schedule(max_updates=30),
         seed=0,
     )
     assert ck.provenance["recipe"] == "stepwise.stage2"
     assert ck.provenance["frozen_groups"] == ["encoder", "src_embed"]
+    for g in ("src_embed", "encoder"):
+        assert ck.group_hash(g) == stage1.group_hash(g)
 
     bad_corpus = word_corpus(["zz1", "zz2"], WORDS_T[:2], 5, seed=4, src_lang="piv", tgt_lang="tgt")
     with pytest.raises(TrainingError):
         stepwise_pretrain(
-            tiny_cfg(),
-            joint_vocab,
-            piv_vocab,
-            tgt_vocab,
-            (src_piv, src_piv_val),
-            (bad_corpus, piv_tgt_val),
-            quick_schedule(max_updates=10),
-            seed=0,
+            stage1, joint_vocab, tgt_vocab, (bad_corpus, piv_tgt_val),
+            quick_schedule(max_updates=10), seed=0,
         )
 
 
@@ -525,8 +517,7 @@ def test_stepwise_stage2_equals_the_full_tape_reference_bitwise(monkeypatch):
 
     def stage2():
         return stepwise_pretrain(
-            cfg, joint_vocab, piv_vocab, tgt_vocab, (src_piv, src_piv_val),
-            (piv_tgt, piv_tgt_val), schedule, seed=0, stage1_ckpt=stage1,
+            stage1, joint_vocab, tgt_vocab, (piv_tgt, piv_tgt_val), schedule, seed=0
         )
 
     got = stage2()
