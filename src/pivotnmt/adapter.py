@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import ParallelCorpus
+from .data import ParallelCorpus, pad_rows
 from .fileio import write_atomic
 
 MAGIC = b"PVADPT01"
@@ -68,14 +68,9 @@ def _encode_pooled(model, sentences, mode: str, batch_size: int = 64) -> np.ndar
     for lo in range(0, len(sentences), batch_size):
         chunk = sentences[lo : lo + batch_size]
         ids = [vocab.encode(s) + [vocab.eos_id] for s in chunk]
-        width = max(len(i) for i in ids)
-        mat = np.full((len(ids), width), vocab.pad_id, dtype=np.int64)
-        for r, row in enumerate(ids):
-            mat[r, : len(row)] = row
-        states = model.encode(mat)
-        for r, row in enumerate(ids):
-            pad = mat[r] == vocab.pad_id
-            cols.append(pool_sentence(states[r], mode, pad_mask=pad))
+        mat = pad_rows(ids, vocab.pad_id)
+        for states, row in zip(model.encode(mat), mat):
+            cols.append(pool_sentence(states, mode, pad_mask=row == vocab.pad_id))
     return np.stack(cols, axis=1).astype(np.float64)
 
 

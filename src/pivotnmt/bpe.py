@@ -59,11 +59,10 @@ def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, .
 
 @dataclass
 class BpeModel:
-    """Ordered merge table plus the languages it was learned on."""
+    """Ordered merge table."""
 
     merges: list[tuple[str, str]]
     merge_count: int
-    languages: tuple[str, ...] = ()
     _ranks: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -117,7 +116,7 @@ class BpeModel:
         return cls(merges=merges, merge_count=merge_count)
 
 
-def learn_bpe(lines, merge_count: int, languages: tuple[str, ...] = ()) -> BpeModel:
+def learn_bpe(lines, merge_count: int) -> BpeModel:
     """Learn greedy most-frequent-pair merges over whitespace-split words.
 
     Frequency ties break lexicographically on the (left, right) pair, which
@@ -145,7 +144,7 @@ def learn_bpe(lines, merge_count: int, languages: tuple[str, ...] = ()) -> BpeMo
         best = min(pair_freq.items(), key=lambda kv: (-kv[1], kv[0]))[0]
         merges.append(best)
         words = {w: _merge_word(s, best) for w, s in words.items()}
-    return BpeModel(merges=merges, merge_count=merge_count, languages=tuple(languages))
+    return BpeModel(merges=merges, merge_count=merge_count)
 
 
 def apply_bpe(model: BpeModel, line: str) -> list[str]:
@@ -160,6 +159,11 @@ def detokenize(tokens) -> str:
     """Undo BPE segmentation: fuse subwords and restore word boundaries."""
     text = "".join(tokens)
     return text.replace(END_OF_WORD, " ").strip()
+
+
+def language_tag(language: str) -> str:
+    """The source token that asks a multilingual model for output in `language`."""
+    return f"<2{language}>"
 
 
 @dataclass
@@ -213,13 +217,20 @@ class Vocabulary:
         return self._ids.get(BLANK)
 
     def tag_id(self, language: str) -> int:
-        tag = f"<2{language}>"
+        tag = language_tag(language)
         if tag not in self._ids:
             raise BpeError(f"vocabulary has no target-language tag {tag}")
         return self._ids[tag]
 
     def has_tag(self, language: str) -> bool:
-        return f"<2{language}>" in self._ids
+        return language_tag(language) in self._ids
+
+    def tagged(self, sentences, language: str) -> list:
+        """Token-list `sentences` with the tag of `language` in front of each
+        non-empty one (an empty sentence stays empty); raises BpeError when
+        the vocabulary has no such tag."""
+        tag = self.tokens[self.tag_id(language)]
+        return [[tag, *s] if s else [] for s in sentences]
 
     def encode(self, tokens) -> list[int]:
         unk = self.unk_id
@@ -261,7 +272,7 @@ def build_vocab(
     specials = list(CORE_SPECIALS)
     if include_blank:
         specials.append(BLANK)
-    specials.extend(f"<2{lang}>" for lang in sorted(language_tags))
+    specials.extend(language_tag(lang) for lang in sorted(language_tags))
 
     freq = Counter()
     for corpus in segmented_corpora:

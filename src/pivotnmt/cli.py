@@ -224,13 +224,9 @@ def _write_lines(path, lines):
     write_atomic(path, "".join(l + "\n" for l in lines))
 
 
-def _load_corpus(src, tgt, src_lang="src", tgt_lang="tgt", weight=1.0) -> ParallelCorpus:
+def _load_corpus(src, tgt, src_lang="src", tgt_lang="tgt") -> ParallelCorpus:
     return ParallelCorpus.load(
-        _require_file(src, "source corpus"),
-        _require_file(tgt, "target corpus"),
-        src_lang,
-        tgt_lang,
-        weight=weight,
+        _require_file(src, "source corpus"), _require_file(tgt, "target corpus"), src_lang, tgt_lang
     )
 
 
@@ -250,7 +246,7 @@ def cmd_learn_bpe(args):
     lines = []
     for p in args.input:
         lines.extend(_read_lines(p))
-    model = bpe.learn_bpe(lines, args.merges, tuple(args.languages.split(",")) if args.languages else ())
+    model = bpe.learn_bpe(lines, args.merges)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     model.save(args.out)
     print(f"learned {len(model.merges)} merges -> {args.out}")
@@ -284,8 +280,8 @@ def _vocab(path) -> bpe.Vocabulary:
 def cmd_train(args):
     settings = _settings(args)
     sv, tv = _vocab(args.src_vocab), _vocab(args.tgt_vocab)
-    corpus = _load_corpus(args.src_train, args.tgt_train, args.src_lang, args.tgt_lang)
-    val = _load_corpus(args.src_val, args.tgt_val, args.src_lang, args.tgt_lang)
+    corpus = _load_corpus(args.src_train, args.tgt_train)
+    val = _load_corpus(args.src_val, args.tgt_val)
     if args.init_from:
         parent = Checkpoint.load(_require_file(args.init_from, "checkpoint"))
         model = model_of(parent, sv, tv)
@@ -294,7 +290,7 @@ def cmd_train(args):
     try:
         ck = train(
             model,
-            corpus,
+            [corpus],
             val,
             getattr(settings, args.schedule_section),
             seed=args.seed,
@@ -381,7 +377,7 @@ def cmd_finetune(args):
     val = _load_corpus(args.src_val, args.tgt_val, "src", "tgt")
     adapter = AdapterMatrix.load(_require_file(args.adapter, "adapter")) if args.adapter else None
     out = finetune(
-        ck, sv, tv, (corpus, val), settings.finetune, seed=args.seed,
+        ck, sv, tv, ([corpus], val), settings.finetune, seed=args.seed,
         adapter=adapter,
         allow_adapter_after_stepwise=args.force_adapter,
     )
@@ -396,8 +392,9 @@ def cmd_decode(args):
     model = model_of(Checkpoint.load(_require_file(args.ckpt, "checkpoint")), sv, tv)
     adapter = AdapterMatrix.load(_require_file(args.adapter, "adapter")) if args.adapter else None
     sentences = _read_token_lines(args.input)
-    prefix = (sv.tag_id(args.tag),) if args.tag else ()
-    hyps = translate_tokens(model, sentences, beam, adapter=adapter, src_prefix=prefix)
+    if args.tag:
+        sentences = sv.tagged(sentences, args.tag)
+    hyps = translate_tokens(model, sentences, beam, adapter=adapter)
     _write_lines(args.output, [bpe.detokenize(h) for h in hyps])
     return 0
 
@@ -565,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn-bpe", help="learn byte pair encoding merges")
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--merges", type=int, required=True)
-    p.add_argument("--languages", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_learn_bpe)
 
@@ -586,8 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     for flag in ("src-train", "tgt-train", "src-val", "tgt-val", "src-vocab", "tgt-vocab"):
         p.add_argument(f"--{flag}", required=True)
-    p.add_argument("--src-lang", default="src")
-    p.add_argument("--tgt-lang", default="tgt")
     p.add_argument("--frozen", default=None, help="comma-separated parameter groups")
     p.add_argument("--init-from", default=None)
     p.add_argument("--schedule-section", choices=("pretrain", "finetune"), default="pretrain",

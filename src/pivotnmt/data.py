@@ -1,15 +1,20 @@
-"""Parallel corpora, token-bucketed batching, mixing, and input noising.
+"""Parallel corpora, input noising, and token-bucketed batching.
 
 Corpora hold whitespace-level token lists (post-BPE tokens at training time).
-Batching works per epoch: each pair appears exactly round(weight) times,
-sentences are shuffled with a seeded RNG, bucketed by length, and padded so
-that a batch's padded target tokens never exceed the token budget.
+A training set is a list of corpora: a mixture, such as translation plus
+denoising autoencoding or real plus synthetic pairs, is one corpus per part,
+each with its own oversampling weight and, for an autoencoding part, input
+noise. Batching works per epoch: the epoch is each corpus's pairs in list
+order, every pair of a corpus repeated round(weight) times and its source
+re-noised when the corpus has noise; sentences are then shuffled with a
+seeded RNG, bucketed by length, and padded by `pad_rows` so that a batch's
+padded target tokens never exceed the token budget.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,12 +30,14 @@ class CorpusError(Exception):
 
 @dataclass
 class ParallelCorpus:
-    """Aligned sentence pairs with language labels and an oversampling weight."""
+    """Aligned sentence pairs with language labels, an oversampling weight
+    and, for a denoising-autoencoding corpus, the noise of its inputs."""
 
     pairs: list
     src_lang: str
     tgt_lang: str
     weight: float = 1.0
+    noise: NoiseConfig | None = None
 
     def __post_init__(self):
         if self.weight < 1.0:
@@ -43,8 +50,12 @@ class ParallelCorpus:
         return len(self.pairs)
 
     def epoch_pairs(self, rng: np.random.Generator) -> list:
-        reps = int(round(self.weight))
-        return list(self.pairs) * reps
+        """The pairs round(weight) times; with `noise`, each source is
+        noised afresh from `rng` while its output side stays clean."""
+        pairs = list(self.pairs) * int(round(self.weight))
+        if self.noise is not None:
+            pairs = [(apply_noise(s, self.noise, rng), t) for s, t in pairs]
+        return pairs
 
     def subset(self, n: int, seed: int) -> "ParallelCorpus":
         """Seeded sample without replacement of up to n pairs."""
@@ -58,19 +69,15 @@ class ParallelCorpus:
 
     def flipped(self) -> "ParallelCorpus":
         """The same pairs in the opposite direction."""
-        return ParallelCorpus(
-            pairs=[(t, s) for s, t in self.pairs],
-            src_lang=self.tgt_lang,
-            tgt_lang=self.src_lang,
-            weight=self.weight,
-        )
+        flipped = [(t, s) for s, t in self.pairs]
+        return replace(self, pairs=flipped, src_lang=self.tgt_lang, tgt_lang=self.src_lang)
 
     def save(self, src_path, tgt_path):
         write_atomic(src_path, "".join(" ".join(s) + "\n" for s, _ in self.pairs))
         write_atomic(tgt_path, "".join(" ".join(t) + "\n" for _, t in self.pairs))
 
     @classmethod
-    def load(cls, src_path, tgt_path, src_lang: str, tgt_lang: str, weight: float = 1.0):
+    def load(cls, src_path, tgt_path, src_lang: str, tgt_lang: str):
         with open(src_path, encoding="utf-8") as fs:
             src_lines = [l.split() for l in fs.read().splitlines()]
         with open(tgt_path, encoding="utf-8") as ft:
@@ -79,12 +86,7 @@ class ParallelCorpus:
             raise CorpusError(
                 f"unaligned corpus files: {len(src_lines)} vs {len(tgt_lines)} lines"
             )
-        return cls(
-            pairs=list(zip(src_lines, tgt_lines)),
-            src_lang=src_lang,
-            tgt_lang=tgt_lang,
-            weight=weight,
-        )
+        return cls(pairs=list(zip(src_lines, tgt_lines)), src_lang=src_lang, tgt_lang=tgt_lang)
 
 
 # ---------------------------------------------------------------------------
@@ -136,59 +138,6 @@ def apply_noise(tokens, cfg: NoiseConfig, rng: np.random.Generator) -> list:
 
 
 # ---------------------------------------------------------------------------
-# mixing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MixedCorpus:
-    """Example-level interleaving of weighted components.
-
-    A component whose `noise` is set is a denoising-autoencoding view: each
-    epoch its input side is re-noised while the output side stays clean.
-    """
-
-    components: list  # of (ParallelCorpus, NoiseConfig | None)
-    src_lang: str = ""
-    tgt_lang: str = ""
-
-    def __len__(self):
-        return sum(len(c) for c, _ in self.components)
-
-    def epoch_pairs(self, rng: np.random.Generator) -> list:
-        out = []
-        for corpus, noise in self.components:
-            pairs = corpus.epoch_pairs(rng)
-            if noise is not None:
-                pairs = [(apply_noise(s, noise, rng), t) for s, t in pairs]
-            out.extend(pairs)
-        return out
-
-
-def autoencoding_corpus(lines, lang: str, weight: float = 1.0) -> ParallelCorpus:
-    """Pivot-to-pivot copy corpus; pair inputs get noised at mixing time."""
-    return ParallelCorpus(
-        pairs=[(list(l), list(l)) for l in lines if l],
-        src_lang=lang,
-        tgt_lang=lang,
-        weight=weight,
-    )
-
-
-def mix_corpora(components) -> MixedCorpus:
-    """Combine weighted corpora that share an output-side language."""
-    if not components:
-        raise CorpusError("nothing to mix")
-    tgt_langs = {c.tgt_lang for c, _ in components}
-    if len(tgt_langs) != 1:
-        raise CorpusError(f"output-side vocabulary mismatch across components: {sorted(tgt_langs)}")
-    return MixedCorpus(
-        components=list(components),
-        src_lang="+".join(sorted({c.src_lang for c, _ in components})),
-        tgt_lang=tgt_langs.pop(),
-    )
-
-
-# ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
 
@@ -206,8 +155,17 @@ class BatchStream:
     skipped_over_length: int = 0
 
 
+def pad_rows(rows, pad_id: int) -> np.ndarray:
+    """Id rows as one int64 matrix, each right-padded with `pad_id` to the
+    longest row."""
+    out = np.full((len(rows), max(map(len, rows))), pad_id, dtype=np.int64)
+    for r, row in enumerate(rows):
+        out[r, : len(row)] = row
+    return out
+
+
 def make_batches(
-    corpus,
+    corpora: list,
     src_vocab: Vocabulary,
     tgt_vocab: Vocabulary,
     max_tokens: int,
@@ -215,14 +173,14 @@ def make_batches(
     epoch: int = 0,
     max_len: int | None = None,
 ) -> BatchStream:
-    """One epoch of token-bucketed batches.
+    """One epoch of token-bucketed batches over a list of corpora.
 
     Both sides become `tokens + eos` (the training loop prepends bos for
     the decoder input). Pairs whose encoded source or target exceeds
     max_tokens, or the model's `max_len` when given, are skipped and counted.
     """
     rng = np.random.default_rng([seed, epoch, 0x9E3779B9])
-    pairs = corpus.epoch_pairs(rng)
+    pairs = [pair for corpus in corpora for pair in corpus.epoch_pairs(rng)]
     if not pairs:
         raise CorpusError("empty corpus")
     limit = max_tokens if max_len is None else min(max_tokens, max_len)
@@ -262,14 +220,8 @@ def make_batches(
     batch_order = rng.permutation(len(groups))
     batches = []
     for gi in batch_order:
-        idx = groups[gi]
-        smax = max(len(encoded[i][0]) for i in idx)
-        tmax = max(len(encoded[i][1]) for i in idx)
-        src = np.full((len(idx), smax), src_vocab.pad_id, dtype=np.int64)
-        tgt = np.full((len(idx), tmax), tgt_vocab.pad_id, dtype=np.int64)
-        for r, i in enumerate(idx):
-            sid, tid = encoded[i]
-            src[r, : len(sid)] = sid
-            tgt[r, : len(tid)] = tid
-        batches.append(Batch(src=src, tgt=tgt))
+        sids, tids = zip(*(encoded[i] for i in groups[gi]))
+        batches.append(
+            Batch(src=pad_rows(sids, src_vocab.pad_id), tgt=pad_rows(tids, tgt_vocab.pad_id))
+        )
     return BatchStream(batches=batches, skipped_over_length=skipped)

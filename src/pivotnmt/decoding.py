@@ -1,7 +1,8 @@
 """Beam decoding, two-step pivot translation, and synthetic-data generation.
 
-Beam search runs batched over sentences: at every step all live hypotheses
-across the batch share one decoder call. Hypotheses are ranked by
+Beam search runs batched over sentences: the source id rows are padded into
+one matrix by `data.pad_rows`, and at every step all live hypotheses across
+the batch share one decoder call. Hypotheses are ranked by
 length-normalized score (logprob / len^alpha; alpha=0 means raw logprob),
 and beam size 1 reduces exactly to greedy decoding.
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bpe
-from .data import ParallelCorpus
+from .data import ParallelCorpus, pad_rows
 from .model import Seq2SeqModel
 from .tensor import log_softmax
 
@@ -105,10 +106,7 @@ def beam_search_batch(
     if not live_idx:
         return results
 
-    width = max(len(src_id_lists[i]) for i in live_idx)
-    src = np.full((len(live_idx), width), sv.pad_id, dtype=np.int64)
-    for r, i in enumerate(live_idx):
-        src[r, : len(src_id_lists[i])] = src_id_lists[i]
+    src = pad_rows([src_id_lists[i] for i in live_idx], sv.pad_id)
     model.set_train(False)
     memory = model.encode(src, adapter=adapter)
     state = model.start_decode(memory, src)
@@ -188,18 +186,18 @@ def translate_tokens(
     sentences: list,
     cfg: BeamConfig,
     adapter=None,
-    src_prefix: tuple = (),
     batch_size: int = 64,
 ) -> list:
-    """Translate token-list sentences; output token lists in input order."""
+    """Translate token-list sentences; output token lists in input order.
+
+    An empty sentence translates to an empty one. A multilingual model reads
+    its target-language tag as the first source token (`Vocabulary.tagged`).
+    """
     sv, tv = model.src_vocab, model.tgt_vocab
     out = []
     for lo in range(0, len(sentences), batch_size):
         chunk = sentences[lo : lo + batch_size]
-        ids = [
-            list(src_prefix) + sv.encode(s) + [sv.eos_id] if s else []
-            for s in chunk
-        ]
+        ids = [sv.encode(s) + [sv.eos_id] if s else [] for s in chunk]
         hyps = beam_search_batch(model, ids, cfg, adapter=adapter)
         out.extend(tv.decode(h.ids) for h in hyps)
     return out

@@ -28,7 +28,7 @@ from . import BLAS_PINNED, bpe
 from .adapter import AdapterMatrix, collect_pairs, fit_adapter
 from .bleu import BleuReport, bleu
 from .checkpoint import Checkpoint, CheckpointError
-from .data import MixedCorpus, NoiseConfig, ParallelCorpus, mix_corpora
+from .data import NoiseConfig, ParallelCorpus
 from .decoding import BeamConfig, pivot_translate, translate_side, translate_tokens
 from .model import ModelConfig, init_params
 from .toyworld import ToyWorldSpec, generate_toy_corpora
@@ -221,7 +221,6 @@ class Workbench:
             lambda: bpe.learn_bpe(
                 [line for lang in langs for line in self.lang_lines(lang)],
                 self.settings.merge_count,
-                langs,
             ),
         )
 
@@ -286,9 +285,11 @@ class Workbench:
             model = init_params(
                 self.settings.model, self.vocab_sep(a), self.vocab_sep(b), self.seed
             )
+            corpus, val = self.segmented(direction, self.bpe_sep(a), self.bpe_sep(b))
             return train(
                 model,
-                *self.segmented(direction, self.bpe_sep(a), self.bpe_sep(b)),
+                [corpus],
+                val,
                 self.settings.pretrain,
                 seed=self.seed,
                 recipe=f"pretrain-{direction}-sep",
@@ -307,9 +308,11 @@ class Workbench:
                 self.vocab_piv_jointseg(),
                 self.seed,
             )
+            corpus, val = self.segmented("src-piv", joint, joint)
             return train(
                 model,
-                *self.segmented("src-piv", joint, joint),
+                [corpus],
+                val,
                 self.settings.pretrain,
                 seed=self.seed,
                 recipe="pretrain-src-piv-joint",
@@ -455,16 +458,14 @@ class Workbench:
         log.info("%s: %d synthetic pairs (%d dropped)", name, len(synth), dropped)
         return synth
 
-    def real_plus_synthetic(self, synth: ParallelCorpus, src_bpe) -> MixedCorpus:
-        """Segmented mixture of `synth` and real src-tgt, the real pairs
+    def real_plus_synthetic(self, synth: ParallelCorpus, src_bpe) -> list:
+        """Segmented real src-tgt and `synth` corpora, the real pairs
         oversampled against the synthetic ones at the configured ratio."""
         real = self.corpora["src-tgt"]
         per_real = self.settings.synthetic_per_real
         weighted = replace(real, weight=max(1.0, round(len(synth) / (per_real * len(real)))))
         tgt_bpe = self.bpe_sep("tgt")
-        return mix_corpora(
-            [(self.seg_corpus(c, src_bpe, tgt_bpe), None) for c in (weighted, synth)]
-        )
+        return [self.seg_corpus(c, src_bpe, tgt_bpe) for c in (weighted, synth)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +498,18 @@ def _to_tgt(wb, corpus, src_bpe) -> ParallelCorpus:
     return wb.seg_corpus(corpus, src_bpe, wb.bpe_sep("tgt"))
 
 
-def _fit(wb, src_bpe, src_vocab, train_corpus, schedule, parent=None, recipe="train",
+def _fit(wb, src_bpe, src_vocab, train_corpora, schedule, parent=None, recipe="train",
          adapter=None, **details) -> System:
-    """Train on segmented src->tgt data, validating on src-tgt.val: a fresh
+    """Train on segmented src->tgt corpora, validating on src-tgt.val: a fresh
     model named `recipe` when there is no parent, else fine-tune `parent`."""
     tgt_vocab = wb.vocab_sep("tgt")
     val = _to_tgt(wb, wb.corpora["src-tgt.val"], src_bpe)
     if parent is None:
         model = init_params(wb.settings.model, src_vocab, tgt_vocab, wb.seed)
-        ck = train(model, train_corpus, val, schedule, seed=wb.seed, recipe=recipe)
+        ck = train(model, train_corpora, val, schedule, seed=wb.seed, recipe=recipe)
     else:
         ck = finetune(
-            parent, src_vocab, tgt_vocab, (train_corpus, val), schedule, seed=wb.seed,
+            parent, src_vocab, tgt_vocab, (train_corpora, val), schedule, seed=wb.seed,
             adapter=adapter,
         )
     return _system(wb, ck, src_bpe, src_vocab, adapter, **details)
@@ -522,15 +523,18 @@ def _plain_child(wb) -> Checkpoint:
 def _direct(wb) -> System:
     src_bpe = wb.bpe_sep("src")
     train_corpus = _to_tgt(wb, wb.corpora["src-tgt"], src_bpe)
-    return _fit(wb, src_bpe, wb.vocab_sep("src"), train_corpus, wb.settings.finetune,
+    return _fit(wb, src_bpe, wb.vocab_sep("src"), [train_corpus], wb.settings.finetune,
                 recipe="direct")
 
 
 def _multilingual(wb, kind, zeroshot=False) -> System:
     ck = wb.ckpt_multilingual(kind, zeroshot=zeroshot)
     vocab = wb.vocab_of(LANGS, tags=LANGS)
-    decode = partial(translate_tokens, model_of(ck, vocab, vocab), cfg=wb.settings.beam,
-                     src_prefix=(vocab.tag_id("tgt"),))
+    model = model_of(ck, vocab, vocab)
+
+    def decode(sentences):
+        return translate_tokens(model, vocab.tagged(sentences, "tgt"), wb.settings.beam)
+
     return System(wb.bpe_of(LANGS), decode, ck.content_hash())
 
 
@@ -544,7 +548,7 @@ def _transfer(wb, xenc, with_adapter) -> System:
     child = plain_transfer_init(encoder, wb.ckpt_sep("piv-tgt"))
     adapter = wb.adapter("xenc" if xenc else "plain") if with_adapter else None
     train_corpus = _to_tgt(wb, wb.corpora["src-tgt"], src_bpe)
-    return _fit(wb, src_bpe, src_vocab, train_corpus, wb.settings.finetune, parent=child,
+    return _fit(wb, src_bpe, src_vocab, [train_corpus], wb.settings.finetune, parent=child,
                 adapter=adapter)
 
 
@@ -552,7 +556,7 @@ def _stepwise(wb, stage1, distilled=False) -> System:
     """Fine-tune the step-wise model on real (or distilled) src->tgt data."""
     src_bpe = wb.bpe_joint()
     words = wb.distilled_corpus() if distilled else wb.corpora["src-tgt"]
-    return _fit(wb, src_bpe, wb.stage1_vocab(stage1), _to_tgt(wb, words, src_bpe),
+    return _fit(wb, src_bpe, wb.stage1_vocab(stage1), [_to_tgt(wb, words, src_bpe)],
                 wb.settings.finetune, parent=wb.ckpt_stepwise(stage1))
 
 
@@ -577,7 +581,7 @@ def _zeroshot_pivot(wb) -> System:
 def _teacher_student(wb) -> System:
     src_bpe = wb.bpe_sep("src")
     train_corpus = _to_tgt(wb, wb.distilled_corpus(), src_bpe)
-    return _fit(wb, src_bpe, wb.vocab_sep("src"), train_corpus, wb.settings.pretrain,
+    return _fit(wb, src_bpe, wb.vocab_sep("src"), [train_corpus], wb.settings.pretrain,
                 recipe="teacher-student")
 
 

@@ -29,7 +29,6 @@ SHARED_PREFIX = "x"
 @dataclass
 class ToyWorldSpec:
     base_vocab_size: int = 40
-    languages: tuple = ("src", "piv", "tgt")
     sentence_length_range: tuple = (3, 12)
     order_class: dict = field(default_factory=lambda: {"src": 0, "piv": 0, "tgt": 1})
     shared_token_fraction: float = 0.5
@@ -43,7 +42,6 @@ class ToyWorldSpec:
 
     def __post_init__(self):
         # JSON gives lists; hold tuples so equal specs compare equal
-        self.languages = tuple(self.languages)
         self.sentence_length_range = tuple(self.sentence_length_range)
         lo, hi = self.sentence_length_range
         if lo < 1 or hi < lo:
@@ -52,8 +50,6 @@ class ToyWorldSpec:
             raise CorpusError("base vocabulary too small")
         if not 0.0 <= self.shared_token_fraction <= 1.0:
             raise CorpusError("shared_token_fraction must lie in [0, 1]")
-        if set(self.languages) != {"src", "piv", "tgt"}:
-            raise CorpusError("toy world needs exactly the languages src, piv, tgt")
 
 
 class ToyWorld:
@@ -65,13 +61,13 @@ class ToyWorld:
         n_shared = int(round(spec.shared_token_fraction * spec.base_vocab_size))
         shared = set(rng.permutation(spec.base_vocab_size)[:n_shared].tolist())
         self._surface = {}
-        for lang in spec.languages:
+        for lang, prefix in LANG_PREFIX.items():
             forms = []
             for i in range(spec.base_vocab_size):
                 if i in shared and lang in ("src", "piv"):
                     forms.append(f"{SHARED_PREFIX}{i}")
                 else:
-                    forms.append(f"{LANG_PREFIX[lang]}{i}")
+                    forms.append(f"{prefix}{i}")
             self._surface[lang] = forms
         self._index = {
             lang: {form: i for i, form in enumerate(forms)}

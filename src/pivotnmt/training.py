@@ -5,19 +5,22 @@ step-wise pre-training (stage 1 is an ordinary `train` run, or
 `crosslingual_pretrain`, over the joint source+pivot vocabulary; stage 2
 trains pivot->target on its frozen encoder), cross-lingual encoder
 pre-training over a translation+denoising mixture, and fine-tuning with an
-optional fixed adapter. Freezing a parameter group means `requires_grad` off
-for the run: the group is never differentiated or updated. The learning-rate
-schedule is plateau decay: the lr is multiplied by 0.7 whenever validation
-perplexity has not improved for three consecutive checkpoints, and training
-stops after eight consecutive non-improving checkpoints. The best-validation
-parameters are what a run returns.
+optional fixed adapter. A run trains on a list of corpora (see `data`): a
+mixture is one corpus per part, and the multilingual baselines pass one
+tagged corpus per direction, the target-language tag a source token.
+Freezing a parameter group means `requires_grad` off for the run: the group
+is never differentiated or updated. The learning-rate schedule is plateau
+decay: the lr is multiplied by 0.7 whenever validation perplexity has not
+improved for three consecutive checkpoints, and training stops after eight
+consecutive non-improving checkpoints. The best-validation parameters are
+what a run returns.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,14 +28,7 @@ from . import tensor as T
 from .adapter import AdapterMatrix
 from .bpe import HashMismatchError, Vocabulary
 from .checkpoint import Checkpoint
-from .data import (
-    MixedCorpus,
-    NoiseConfig,
-    ParallelCorpus,
-    autoencoding_corpus,
-    make_batches,
-    mix_corpora,
-)
+from .data import NoiseConfig, ParallelCorpus, make_batches
 from .model import ENCODER_SIDE_GROUPS, ModelConfig, ModelError, Seq2SeqModel, init_params
 
 log = logging.getLogger(__name__)
@@ -105,7 +101,7 @@ class ScheduleTracker:
 def validation_perplexity(model: Seq2SeqModel, corpus, max_tokens: int, adapter=None) -> float:
     """exp(mean token NLL) over a corpus, deterministic, no smoothing."""
     stream = make_batches(
-        corpus, model.src_vocab, model.tgt_vocab, max_tokens, seed=0, epoch=0,
+        [corpus], model.src_vocab, model.tgt_vocab, max_tokens, seed=0, epoch=0,
         max_len=model.config.max_len,
     )
     total_nll = 0.0
@@ -148,8 +144,8 @@ def model_of(ckpt: Checkpoint, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> 
 
 def train(
     model: Seq2SeqModel,
-    train_corpus,
-    val_corpus,
+    train_corpora: list,
+    val_corpus: ParallelCorpus,
     schedule: TrainSchedule,
     seed: int,
     frozen_groups=(),
@@ -158,7 +154,8 @@ def train(
     parents: list | None = None,
     log_path=None,
 ) -> Checkpoint:
-    """Run Adam updates with checkpoint-interval validation until decay/stop rules end it.
+    """Run Adam updates on `train_corpora` with checkpoint-interval validation
+    until decay/stop rules end it.
 
     Returns the best-validation checkpoint. The parameters of `frozen_groups`
     have `requires_grad` off for the run (restored however it ends): no tape
@@ -197,7 +194,7 @@ def train(
     try:
         while not stop and updates < schedule.max_updates:
             stream = make_batches(
-                train_corpus,
+                train_corpora,
                 model.src_vocab,
                 model.tgt_vocab,
                 schedule.max_tokens,
@@ -361,7 +358,7 @@ def stepwise_pretrain(
             )
     return train(
         stage2_model,
-        train_corpus,
+        [train_corpus],
         val_corpus,
         schedule,
         seed=seed + 1,
@@ -385,18 +382,20 @@ def crosslingual_pretrain(
     """Train one encoder on translation plus pivot->pivot (denoising) autoencoding.
 
     `autoenc_lines` supplies the pivot sentences to copy: either monolingual
-    text or the pivot side of the parallel data. `noise=None` is the clean
-    copying variant.
+    text or the pivot side of the parallel data; empty lines are skipped.
+    The copy corpus has weight `autoenc_weight` and its inputs are noised
+    with `noise`; `noise=None` is the clean copying variant.
     """
     if noise is not None and joint_vocab.blank_id is None:
         raise TrainingError("noise enabled but <BLANK> is not in the joint vocabulary")
     train_corpus, val_corpus = src_piv
-    ae = autoencoding_corpus(list(autoenc_lines), train_corpus.tgt_lang, weight=autoenc_weight)
-    mixed = mix_corpora([(train_corpus, None), (ae, noise)])
+    piv = train_corpus.tgt_lang
+    copies = [(list(l), list(l)) for l in autoenc_lines if l]
+    ae = ParallelCorpus(copies, piv, piv, weight=autoenc_weight, noise=noise)
     model = init_params(config, joint_vocab, piv_vocab, seed)
     return train(
         model,
-        mixed,
+        [train_corpus, ae],
         val_corpus,
         schedule,
         seed=seed,
@@ -406,15 +405,10 @@ def crosslingual_pretrain(
 
 def tag_corpus(corpus: ParallelCorpus, vocab: Vocabulary) -> ParallelCorpus:
     """Prepend the target-language tag to every source sequence, exactly once."""
-    tag = f"<2{corpus.tgt_lang}>"
     if not vocab.has_tag(corpus.tgt_lang):
-        raise TrainingError(f"vocabulary missing tag {tag} for direction to {corpus.tgt_lang}")
-    return ParallelCorpus(
-        pairs=[([tag] + list(s), list(t)) for s, t in corpus.pairs],
-        src_lang=corpus.src_lang,
-        tgt_lang=corpus.tgt_lang,
-        weight=corpus.weight,
-    )
+        raise TrainingError(f"vocabulary has no tag for the direction to {corpus.tgt_lang}")
+    sources = vocab.tagged([s for s, _ in corpus.pairs], corpus.tgt_lang)
+    return replace(corpus, pairs=[(s, list(t)) for s, (_, t) in zip(sources, corpus.pairs)])
 
 
 def train_multilingual(
@@ -429,14 +423,11 @@ def train_multilingual(
     """One shared model over tagged direction corpora (Johnson-style)."""
     if kind not in ("many2many", "many2one"):
         raise TrainingError(f"unknown multilingual kind {kind!r}")
-    tagged = [(tag_corpus(c, shared_vocab), None) for c in direction_corpora]
-    mixed = MixedCorpus(components=tagged, src_lang="multi", tgt_lang="shared")
     model = init_params(config, shared_vocab, shared_vocab, seed)
-    val = tag_corpus(val_corpus, shared_vocab)
     return train(
         model,
-        mixed,
-        val,
+        [tag_corpus(c, shared_vocab) for c in direction_corpora],
+        tag_corpus(val_corpus, shared_vocab),
         schedule,
         seed=seed,
         recipe=f"multilingual-{kind}",
@@ -453,15 +444,16 @@ def finetune(
     adapter: AdapterMatrix | None = None,
     allow_adapter_after_stepwise: bool = False,
 ) -> Checkpoint:
-    """Continue training on source-target data with all groups unfrozen.
+    """Continue training on source-target data with all groups unfrozen:
+    `src_tgt` is (training corpora, validation corpus).
 
     The adapter (when present) stays fixed and is applied to encoder outputs
     for the whole run. Combining an adapter with a step-wise pre-trained
     checkpoint is refused unless explicitly overridden, since the decoder is
     already trained against this encoder's output space.
     """
-    train_corpus, val_corpus = src_tgt
-    if len(train_corpus) == 0:
+    train_corpora, val_corpus = src_tgt
+    if not any(len(c) for c in train_corpora):
         raise TrainingError("fine-tuning needs a non-empty corpus (zero-shot is decode-only)")
     recipe_chain = _provenance_recipes(ckpt.provenance)
     if adapter is not None and any("stepwise" in r for r in recipe_chain):
@@ -478,7 +470,7 @@ def finetune(
     model = model_of(ckpt, src_vocab, tgt_vocab)
     return train(
         model,
-        train_corpus,
+        train_corpora,
         val_corpus,
         schedule,
         seed=seed,

@@ -47,11 +47,10 @@ def test_unseen_characters_pass_through():
 def test_joint_regime_shared_table():
     src = ["s1 s2 s1", "s3 s1"]
     piv = ["p1 p2", "p3 p1 p1"]
-    model = bpe.learn_bpe(src + piv, merge_count=50, languages=("srclang", "pivlang"))
+    model = bpe.learn_bpe(src + piv, merge_count=50)
     seg_one = bpe.apply_bpe(model, "p1 p2")
     seg_two = bpe.apply_bpe(model, "p1 p2")
     assert seg_one == seg_two
-    assert model.languages == ("srclang", "pivlang")
     # tokens from both languages segment through the same table
     assert bpe.apply_bpe(model, "s1") and bpe.apply_bpe(model, "p1")
 
@@ -111,6 +110,15 @@ def test_blank_and_tags():
     assert not bpe.build_vocab([[["a"]]]).has_tag("tgt")
     with pytest.raises(bpe.BpeError):
         bpe.build_vocab([[["a"]]]).tag_id("tgt")
+
+
+def test_tagged_prefixes_each_non_empty_sentence():
+    vocab = bpe.build_vocab([[["a", "b"]]], language_tags=("tgt",))
+    tagged = vocab.tagged([["a", "b"], [], ["b"]], "tgt")
+    assert tagged == [[bpe.language_tag("tgt"), "a", "b"], [], [bpe.language_tag("tgt"), "b"]]
+    assert vocab.encode(tagged[0])[0] == vocab.tag_id("tgt")
+    with pytest.raises(bpe.BpeError):
+        vocab.tagged([["a"]], "piv")
 
 
 def test_vocab_round_trip_bit_exact(tmp_path):

@@ -173,6 +173,8 @@ def _config_commands(absent):
         ("{}", ["settings.ae_weight=0.5"]),
         ("{}", ["settings.beam.max_length_factor=-1.0"]),
         ("{}", ["settings.beam.max_length_constant=-1"]),
+        # the toy world always has the languages src, piv and tgt
+        ("{}", ['world.languages=["src","piv","tgt"]']),
     ],
 )
 def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
@@ -254,7 +256,7 @@ def staged(tmp_path_factory):
     def segment(regime, langs):
         learned = [str(toy / f) for lang in langs for f in LANG_FILES[lang]]
         assert main(["learn-bpe", "--input", *learned, "--merges", merges,
-                     "--languages", ",".join(langs), "--out", path(regime, "bpe")]) == 0
+                     "--out", path(regime, "bpe")]) == 0
         for lang in langs:
             for f in LANG_FILES[lang] + VAL_FILES[lang]:
                 assert main(["apply-bpe", "--model", path(regime, "bpe"),
@@ -277,7 +279,7 @@ def staged(tmp_path_factory):
 def _train_src_piv(staged, out, *extra):
     path, config = staged
     return main([
-        "train", "--config", config, "--seed", "3", "--src-lang", "src", "--tgt-lang", "piv",
+        "train", "--config", config, "--seed", "3",
         "--src-train", path("src", "src-piv.src"), "--tgt-train", path("piv", "src-piv.piv"),
         "--src-val", path("src", "src-piv.val.src"), "--tgt-val", path("piv", "src-piv.val.piv"),
         "--src-vocab", path("src", "vocab"), "--tgt-vocab", path("piv", "vocab"),
@@ -311,8 +313,7 @@ def test_train_then_stepwise_trains_the_workbench_stepwise_stage(staged, tmp_pat
     wb = Workbench(*experiment_pieces(PARITY_CONFIG), 3)
     stage1 = tmp_path / "stage1.ckpt"
     assert main([
-        "train", "--config", config, "--seed", "3", "--src-lang", "src", "--tgt-lang", "piv",
-        "--recipe-name", "pretrain-src-piv-joint",
+        "train", "--config", config, "--seed", "3", "--recipe-name", "pretrain-src-piv-joint",
         "--src-train", path("joint", "src-piv.src"), "--tgt-train", path("joint", "src-piv.piv"),
         "--src-val", path("joint", "src-piv.val.src"),
         "--tgt-val", path("joint", "src-piv.val.piv"),
@@ -402,6 +403,36 @@ def test_decoding_commands_decode_with_settings_beam(staged, tmp_path):
     want = [tmp_path / "want.src", tmp_path / "want.tgt"]
     synth.save(*want)
     assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
+
+def test_decode_tag_decodes_as_the_multilingual_recipe(staged, tmp_path, capsys):
+    _, config = staged
+    wb = Workbench(*experiment_pieces(PARITY_CONFIG), 3)
+    system = recipes.RECIPES["multilingual-m2o"](wb)
+    ckpt, vocab = tmp_path / "m2o.ckpt", tmp_path / "multi.vocab"
+    wb.ckpt_multilingual("many2one").save(ckpt)
+    wb.vocab_of(recipes.LANGS, tags=recipes.LANGS).save(vocab)
+    seg = [bpe.apply_bpe(system.src_bpe, " ".join(s)) for s, _ in wb.corpora["src-tgt.val"].pairs]
+    seg.insert(2, [])
+    source = tmp_path / "val.src"
+    source.write_text("".join(" ".join(s) + "\n" for s in seg), encoding="utf-8")
+
+    def decode(out, *tag):
+        return main(["decode", "--config", config, "--ckpt", str(ckpt), "--src-vocab", str(vocab),
+                     "--tgt-vocab", str(vocab), "--input", str(source), "--output", str(out),
+                     *tag])
+
+    out, untagged = tmp_path / "decoded.txt", tmp_path / "untagged.txt"
+    assert decode(out, "--tag", "tgt") == 0 and decode(untagged) == 0
+    got = out.read_text(encoding="utf-8").splitlines()
+    assert got == [bpe.detokenize(h) for h in system.decode(seg)]
+    assert len(got) == len(seg) and got[2] == ""
+    assert untagged.read_text(encoding="utf-8").splitlines() != got  # the tag is read
+    # a tag the vocabulary lacks is rejected before anything decodes
+    never = tmp_path / "never.txt"
+    assert decode(never, "--tag", "xx") == 4
+    assert "code=invalid-config" in capsys.readouterr().err
+    assert not never.exists()
 
 
 def test_gen_toy_world_seed_comes_from_the_config(tmp_path):

@@ -1,4 +1,6 @@
-"""Corpus handling: toy world, batching, noise statistics, mixing."""
+"""Corpus handling: toy world, batching, noise statistics, mixtures."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +13,8 @@ from pivotnmt.data import (
     NoiseConfig,
     ParallelCorpus,
     apply_noise,
-    autoencoding_corpus,
     make_batches,
-    mix_corpora,
+    pad_rows,
 )
 from pivotnmt.toyworld import ToyWorld, ToyWorldSpec, generate_toy_corpora, write_toy_corpora
 
@@ -98,7 +99,7 @@ def test_invalid_spec_rejected():
 
 def test_write_round_trip(tmp_path):
     # the second spec is given lists, as a JSON config gives them
-    lists = small_spec(languages=["src", "piv", "tgt"], sentence_length_range=[2, 6])
+    lists = small_spec(sentence_length_range=[2, 6])
     for i, spec in enumerate([small_spec(), lists]):
         out = tmp_path / str(i)
         corpora = write_toy_corpora(spec, out)
@@ -200,7 +201,7 @@ def vocab_for(corpus):
 def test_batch_budget_respected():
     corpus = make_word_corpus(10, 5)
     sv, tv = vocab_for(corpus)
-    stream = make_batches(corpus, sv, tv, max_tokens=25, seed=0)
+    stream = make_batches([corpus], sv, tv, max_tokens=25, seed=0)
     for b in stream.batches:
         assert b.tgt.size <= 25
     assert sum(b.src.shape[0] for b in stream.batches) == 10
@@ -209,7 +210,7 @@ def test_batch_budget_respected():
 def test_weighted_corpus_epoch_counts():
     corpus = make_word_corpus(3, 4, weight=4.0)
     sv, tv = vocab_for(corpus)
-    stream = make_batches(corpus, sv, tv, max_tokens=64, seed=1)
+    stream = make_batches([corpus], sv, tv, max_tokens=64, seed=1)
     assert sum(b.src.shape[0] for b in stream.batches) == 12
 
 
@@ -217,7 +218,7 @@ def test_over_length_pairs_skipped_and_counted():
     corpus = make_word_corpus(4, 3)
     corpus.pairs.append(([f"a{i}" for i in range(30)], [f"b{i}" for i in range(30)]))
     sv, tv = vocab_for(corpus)
-    stream = make_batches(corpus, sv, tv, max_tokens=12, seed=0)
+    stream = make_batches([corpus], sv, tv, max_tokens=12, seed=0)
     assert stream.skipped_over_length == 1
     assert sum(b.src.shape[0] for b in stream.batches) == 4
 
@@ -225,54 +226,104 @@ def test_over_length_pairs_skipped_and_counted():
 def test_batches_deterministic_per_seed_and_epoch():
     corpus = make_word_corpus(20, 4)
     sv, tv = vocab_for(corpus)
-    a = make_batches(corpus, sv, tv, 32, seed=3, epoch=1)
-    b = make_batches(corpus, sv, tv, 32, seed=3, epoch=1)
+    a = make_batches([corpus], sv, tv, 32, seed=3, epoch=1)
+    b = make_batches([corpus], sv, tv, 32, seed=3, epoch=1)
     assert all(np.array_equal(x.src, y.src) for x, y in zip(a.batches, b.batches))
-    c = make_batches(corpus, sv, tv, 32, seed=3, epoch=2)
+    c = make_batches([corpus], sv, tv, 32, seed=3, epoch=2)
     assert not all(
         np.array_equal(x.src, y.src) for x, y in zip(a.batches, c.batches)
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 50), max_size=9), min_size=1, max_size=8),
+       st.integers(0, 3))
+def test_pad_rows_equals_the_fill_loop_it_replaced(rows, pad_id):
+    # the loop make_batches, beam search and adapter pooling each had
+    want = np.full((len(rows), max(len(r) for r in rows)), pad_id, dtype=np.int64)
+    for r, row in enumerate(rows):
+        want[r, : len(row)] = row
+    got = pad_rows(rows, pad_id)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
-# mixing
+# mixtures: a training set is a list of corpora
 # ---------------------------------------------------------------------------
+
+class ReferenceMixture:
+    """The mixture type the corpus list replaced, kept as its oracle:
+    `components` is a list of (ParallelCorpus, NoiseConfig | None)."""
+
+    def __init__(self, components):
+        self.components = components
+
+    def epoch_pairs(self, rng: np.random.Generator) -> list:
+        out = []
+        for corpus, noise in self.components:
+            pairs = corpus.epoch_pairs(rng)
+            if noise is not None:
+                pairs = [(apply_noise(s, noise, rng), t) for s, t in pairs]
+            out.extend(pairs)
+        return out
+
+
+def copy_corpus(lines, lang, **kw):
+    return ParallelCorpus(pairs=[(list(l), list(l)) for l in lines], src_lang=lang,
+                          tgt_lang=lang, **kw)
+
+
+def test_corpus_list_equals_the_reference_mixture_over_three_epochs():
+    world = ToyWorld(small_spec())
+    src_piv = world.sample_pairs("src", "piv", 12, stream=77)
+    pivots = [t for _, t in src_piv.pairs]
+    noise = NoiseConfig(p_del=0.2, p_rep=0.2, d_per=2)
+    corpora = [
+        ParallelCorpus(pairs=src_piv.pairs, src_lang="src", tgt_lang="piv", weight=3.0),
+        copy_corpus(pivots, "piv", weight=2.0, noise=noise),
+        copy_corpus(pivots[:5], "piv"),
+    ]
+    reference = ReferenceMixture([(replace(c, noise=None), c.noise) for c in corpora])
+    sv = word_vocab([s for s, _ in src_piv.pairs] + pivots + [[bpe.BLANK]])
+    tv = word_vocab(pivots)
+    for epoch in range(3):
+        draws = [np.random.default_rng([4, epoch, 0x9E3779B9]) for _ in range(2)]
+        got = [pair for c in corpora for pair in c.epoch_pairs(draws[0])]
+        assert got == reference.epoch_pairs(draws[1])
+        assert len(got) == 3 * 12 + 2 * 12 + 5
+        new = make_batches(corpora, sv, tv, 40, seed=4, epoch=epoch)
+        old = make_batches([reference], sv, tv, 40, seed=4, epoch=epoch)
+        assert len(new.batches) == len(old.batches)
+        for a, b in zip(new.batches, old.batches):
+            assert a.src.tobytes() == b.src.tobytes() and a.src.shape == b.src.shape
+            assert a.tgt.tobytes() == b.tgt.tobytes() and a.tgt.shape == b.tgt.shape
+
 
 def test_mix_equal_weights_equal_counts():
     trans = make_word_corpus(10, 3)
-    ae = autoencoding_corpus([[f"p{i}", f"p{i+1}"] for i in range(10)], "tgt")
-    # share the output language label so mixing is legal
-    ae_pairs = [(s, t) for s, t in ae.pairs]
-    ae = ParallelCorpus(pairs=ae_pairs, src_lang="tgt", tgt_lang="tgt")
-    mixed = mix_corpora([(trans, None), (ae, None)])
-    pairs = mixed.epoch_pairs(np.random.default_rng(0))
-    assert len(pairs) == 20
-
-
-def test_mix_rejects_output_vocab_mismatch():
-    a = make_word_corpus(3, 3)
-    b = ParallelCorpus(pairs=[(["x"], ["y"])], src_lang="src", tgt_lang="piv")
-    with pytest.raises(CorpusError):
-        mix_corpora([(a, None), (b, None)])
+    ae = copy_corpus([[f"p{i}", f"p{i+1}"] for i in range(10)], "tgt")
+    corpora = [trans, ae]
+    sv, tv = vocab_for(trans)
+    stream = make_batches(corpora, sv, tv, max_tokens=64, seed=0)
+    assert sum(b.src.shape[0] for b in stream.batches) == 20
 
 
 def test_autoencoding_two_inputs_one_output():
     # the same pivot sentence appears with a translation input and a noised copy input
     world = ToyWorld(small_spec())
     src_piv = world.sample_pairs("src", "piv", 5, stream=77)
-    ae = autoencoding_corpus([t for _, t in src_piv.pairs], "piv")
+    pivots = [t for _, t in src_piv.pairs]
     noise = NoiseConfig(p_del=0.5, p_rep=0.2, d_per=2)
-    mixed = mix_corpora([(src_piv, None), (ae, noise)])
-    pairs = mixed.epoch_pairs(np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    pairs = src_piv.epoch_pairs(rng) + copy_corpus(pivots, "piv", noise=noise).epoch_pairs(rng)
     outputs = {}
     for s, t in pairs:
         outputs.setdefault(tuple(t), []).append(tuple(s))
     for t, inputs in outputs.items():
         assert len(inputs) == 2
-        assert len(set(inputs)) >= 1  # translation input differs from noised copy
     # clean variant: noise disabled reproduces the output sentence as input
-    clean = mix_corpora([(ae, None)])
-    for s, t in clean.epoch_pairs(np.random.default_rng(2)):
+    for s, t in copy_corpus(pivots, "piv").epoch_pairs(np.random.default_rng(2)):
         assert s == t
 
 
@@ -282,8 +333,8 @@ def test_real_synthetic_one_to_two_ratio():
         ([f"c{i}"], [f"d{i}"]) for i in range(40)
     ]
     synth = ParallelCorpus(pairs=synth_pairs, src_lang="src", tgt_lang="tgt")
-    mixed = mix_corpora([(real, None), (synth, None)])
-    pairs = mixed.epoch_pairs(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    pairs = [pair for c in (real, synth) for pair in c.epoch_pairs(rng)]
     n_real = sum(1 for s, _ in pairs if s[0].startswith("a"))
     n_synth = sum(1 for s, _ in pairs if s[0].startswith("c"))
     assert n_real * 2 == n_synth

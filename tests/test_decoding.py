@@ -124,7 +124,7 @@ def converged_model(words_in, words_out, seed=0, reverse=False, n=220):
     schedule = TrainSchedule(
         initial_lr=3e-3, checkpoint_interval=50, max_updates=700, max_tokens=256
     )
-    ck = train(model, corpus, val, schedule, seed=seed)
+    ck = train(model, [corpus], val, schedule, seed=seed)
     return model_of(ck, sv, tv), corpus
 
 

@@ -206,7 +206,7 @@ def test_train_returns_checkpoint_and_freezes_groups():
         for n in model.frozen_param_names({"encoder", "src_embed"})
     }
     ck = train(
-        model, corpus, val, quick_schedule(), seed=1, frozen_groups=("encoder", "src_embed")
+        model, [corpus], val, quick_schedule(), seed=1, frozen_groups=("encoder", "src_embed")
     )
     for n, raw in frozen_before.items():
         assert ck.params[n].tobytes() == raw
@@ -230,13 +230,13 @@ def test_train_restores_requires_grad_on_return_divergence_and_error():
     flags = requires_grad_flags(model)
     frozen = ("encoder", "src_embed")
 
-    ck = train(model, corpus, val, quick_schedule(max_updates=20), seed=0, frozen_groups=frozen)
+    ck = train(model, [corpus], val, quick_schedule(max_updates=20), seed=0, frozen_groups=frozen)
     assert not ck.provenance["diverged"]
     assert requires_grad_flags(model) == flags
 
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence overflows on purpose
         ck = train(
-            model, corpus, val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0,
+            model, [corpus], val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0,
             frozen_groups=frozen,
         )
     assert ck.provenance["diverged"]
@@ -254,7 +254,7 @@ def test_train_restores_requires_grad_on_return_divergence_and_error():
 
     model.forward_loss = failing_forward_loss
     with pytest.raises(ModelError, match="injected"):
-        train(model, corpus, val, quick_schedule(), seed=0, frozen_groups=frozen)
+        train(model, [corpus], val, quick_schedule(), seed=0, frozen_groups=frozen)
     assert len(calls) == 3
     assert requires_grad_flags(model) == flags
 
@@ -269,12 +269,12 @@ def test_pairs_longer_than_max_len_are_skipped_and_training_completes():
     tv = vocab_of([t for _, t in too_long.pairs])
     model = init_params(tiny_cfg(), sv, tv, seed=0)
     assert model.config.max_len == 16
-    stream = make_batches(too_long, sv, tv, 64, seed=0, max_len=model.config.max_len)
+    stream = make_batches([too_long], sv, tv, 64, seed=0, max_len=model.config.max_len)
     assert stream.skipped_over_length == 1
     assert sum(b.src.shape[0] for b in stream.batches) == len(corpus.pairs)
     # the budget alone lets the 21-token source through
-    assert make_batches(too_long, sv, tv, 64, seed=0).skipped_over_length == 0
-    ck = train(model, too_long, too_long, quick_schedule(max_updates=20), seed=0)
+    assert make_batches([too_long], sv, tv, 64, seed=0).skipped_over_length == 0
+    ck = train(model, [too_long], too_long, quick_schedule(max_updates=20), seed=0)
     assert ck.provenance["updates"] == 20 and not ck.provenance["diverged"]
 
 
@@ -286,7 +286,7 @@ def test_train_rejects_a_frozen_set_that_is_unknown_or_leaves_nothing():
     before = model.clone_params()
     for groups in (("bogus",), ("encoder", "src_embed", "tgt_embed", "decoder")):
         with pytest.raises(TrainingError):
-            train(model, corpus, corpus, quick_schedule(), seed=0, frozen_groups=groups)
+            train(model, [corpus], corpus, quick_schedule(), seed=0, frozen_groups=groups)
         assert all(p.requires_grad for p in model.params.values())
     assert all(np.array_equal(model.params[n].data, a) for n, a in before.items())
 
@@ -299,7 +299,7 @@ def test_train_reproducible_same_seed():
     cks = []
     for _ in range(2):
         model = init_params(tiny_cfg(dropout=0.1), sv, tv, seed=4)
-        cks.append(train(model, corpus, val, quick_schedule(max_updates=30), seed=9))
+        cks.append(train(model, [corpus], val, quick_schedule(max_updates=30), seed=9))
     assert cks[0].content_hash() == cks[1].content_hash()
 
 
@@ -310,7 +310,7 @@ def test_train_lowers_validation_perplexity():
     tv = vocab_of([t for _, t in corpus.pairs])
     model = init_params(tiny_cfg(), sv, tv, seed=1)
     before = validation_perplexity(model, val, 128)
-    ck = train(model, corpus, val, quick_schedule(max_updates=120), seed=2)
+    ck = train(model, [corpus], val, quick_schedule(max_updates=120), seed=2)
     trained = model_of(ck, sv, tv)
     after = validation_perplexity(trained, val, 128)
     assert after < before * 0.8
@@ -323,7 +323,7 @@ def test_divergence_aborts_with_last_good_checkpoint():
     tv = vocab_of([t for _, t in corpus.pairs])
     model = init_params(tiny_cfg(dtype="float32"), sv, tv, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence overflows on purpose
-        ck = train(model, corpus, val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0)
+        ck = train(model, [corpus], val, quick_schedule(initial_lr=1e9, max_updates=50), seed=0)
     assert ck.provenance["diverged"]
     assert all(np.all(np.isfinite(a)) for a in ck.params.values())
 
@@ -335,7 +335,7 @@ def test_training_log_lines(tmp_path):
     tv = vocab_of([t for _, t in corpus.pairs])
     model = init_params(tiny_cfg(), sv, tv, seed=4)
     log_path = tmp_path / "train.log"
-    train(model, corpus, val, quick_schedule(max_updates=40), seed=5, log_path=log_path)
+    train(model, [corpus], val, quick_schedule(max_updates=40), seed=5, log_path=log_path)
     lines = log_path.read_text().splitlines()
     assert lines
     for line in lines:
@@ -405,7 +405,7 @@ def test_stepwise_stage2_keeps_encoder_hash_and_checks_coverage():
     joint_vocab = vocab_of([[w] for w in joint_words])
     piv_vocab = vocab_of([t for _, t in src_piv.pairs])
     tgt_vocab = vocab_of([t for _, t in piv_tgt.pairs])
-    stage1 = train(init_params(tiny_cfg(), joint_vocab, piv_vocab, seed=0), src_piv, src_piv_val,
+    stage1 = train(init_params(tiny_cfg(), joint_vocab, piv_vocab, seed=0), [src_piv], src_piv_val,
                    quick_schedule(max_updates=30), seed=0)
     ck = stepwise_pretrain(
         stage1, joint_vocab, tgt_vocab, (piv_tgt, piv_tgt_val), quick_schedule(max_updates=30),
@@ -451,7 +451,7 @@ def reference_adam_step(params, state, frozen):
         p.data -= update.astype(p.data.dtype, copy=False)
 
 
-def reference_train(model, train_corpus, val_corpus, schedule, seed, frozen_groups=(),
+def reference_train(model, train_corpora, val_corpus, schedule, seed, frozen_groups=(),
                     recipe="train", parents=None):
     frozen = model.frozen_param_names(frozen_groups)
     adam = T.AdamState(learning_rate=schedule.initial_lr)
@@ -461,7 +461,7 @@ def reference_train(model, train_corpus, val_corpus, schedule, seed, frozen_grou
     updates, epoch, stop = 0, 0, False
     while not stop and updates < schedule.max_updates:
         stream = make_batches(
-            train_corpus, model.src_vocab, model.tgt_vocab, schedule.max_tokens, seed=seed, epoch=epoch
+            train_corpora, model.src_vocab, model.tgt_vocab, schedule.max_tokens, seed=seed, epoch=epoch
         )
         for batch in stream.batches:
             model.set_train(True, drop_rng)
@@ -511,7 +511,7 @@ def test_stepwise_stage2_equals_the_full_tape_reference_bitwise(monkeypatch):
     tgt_vocab = vocab_of([t for _, t in piv_tgt.pairs])
     cfg = tiny_cfg(dropout=0.1, layers=2, dtype="float32")
     stage1_model = init_params(cfg, joint_vocab, piv_vocab, seed=0)
-    stage1 = train(stage1_model, src_piv, src_piv_val, quick_schedule(max_updates=20), seed=0)
+    stage1 = train(stage1_model, [src_piv], src_piv_val, quick_schedule(max_updates=20), seed=0)
     # three checkpoint intervals of stage 2, the last one ending the run
     schedule = quick_schedule(max_updates=60)
 
@@ -537,7 +537,7 @@ def test_finetune_rejects_empty_corpus_and_guards_adapter():
     empty = ParallelCorpus(pairs=[], src_lang="src", tgt_lang="tgt")
     val = word_corpus(WORDS_S, WORDS_T, 8, seed=0, src_lang="src", tgt_lang="tgt")
     with pytest.raises(TrainingError):
-        finetune(child, sv, tv, (empty, val), quick_schedule(), seed=0)
+        finetune(child, sv, tv, ([empty], val), quick_schedule(), seed=0)
 
     stepwise_like = Checkpoint(
         params=child.params,
@@ -550,12 +550,12 @@ def test_finetune_rejects_empty_corpus_and_guards_adapter():
     adapter = make_baseline_adapter("identity", 16)
     with pytest.raises(TrainingError):
         finetune(
-            stepwise_like, sv, tv, (corpus, val), quick_schedule(max_updates=5), seed=0,
+            stepwise_like, sv, tv, ([corpus], val), quick_schedule(max_updates=5), seed=0,
             adapter=adapter,
         )
     # override flag permits it
     ck = finetune(
-        stepwise_like, sv, tv, (corpus, val), quick_schedule(max_updates=5), seed=0,
+        stepwise_like, sv, tv, ([corpus], val), quick_schedule(max_updates=5), seed=0,
         adapter=adapter, allow_adapter_after_stepwise=True,
     )
     assert ck.provenance["adapter"]["provenance"] == "identity"
