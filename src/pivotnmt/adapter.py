@@ -4,7 +4,8 @@ The adapter is a d x d matrix carrying pooled source-encoder sentence
 representations into the pivot-encoder representation space. Fitting solves
 min over orthogonal M of ||M S - P||_F in closed form: with U S V^T the SVD
 of P S^T, the minimizer is M = U V^T. The fit runs in double precision; a
-single-precision working copy is materialized on demand.
+model that uses the matrix holds a copy in its own dtype
+(`Seq2SeqModel.attach_adapter`).
 """
 
 from __future__ import annotations
@@ -110,21 +111,10 @@ class AdapterMatrix:
     provenance: str
     orthogonality_error: float
     fit_residual: float
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def d(self) -> int:
         return self.m.shape[0]
-
-    @property
-    def shape(self):
-        return self.m.shape
-
-    def as_tensor(self, dtype=np.float32) -> T.Tensor:
-        key = np.dtype(dtype).name
-        if key not in self._cache:
-            self._cache[key] = T.Tensor(self.m.astype(dtype), requires_grad=False)
-        return self._cache[key]
 
     def save(self, path):
         header = struct.pack(

@@ -21,6 +21,8 @@ that runs that stage: `train` takes `model` and `pretrain` (`train
 commands (`decode`, `pivot-decode`, `distill`, `backtranslate`) take `beam`.
 Every command reads its config before it opens any other file. Any other
 top-level section, or a key or value the classes reject, is invalid-config.
+Every `--out` or `--output` path may name a new directory. A `finetune
+--adapter` checkpoint holds its adapter, and `decode` applies it.
 
 Step-wise pre-training is two commands, as in the recipes: `train
 --recipe-name pretrain-src-piv-joint` over the joint source+pivot
@@ -220,7 +222,6 @@ def _read_token_lines(path) -> list:
 
 
 def _write_lines(path, lines):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, "".join(l + "\n" for l in lines))
 
 
@@ -247,7 +248,6 @@ def cmd_learn_bpe(args):
     for p in args.input:
         lines.extend(_read_lines(p))
     model = bpe.learn_bpe(lines, args.merges)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     model.save(args.out)
     print(f"learned {len(model.merges)} merges -> {args.out}")
     return 0
@@ -267,7 +267,6 @@ def cmd_build_vocab(args):
         include_blank=args.blank,
         language_tags=tuple(args.tags.split(",")) if args.tags else (),
     )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     vocab.save(args.out)
     print(f"vocabulary of {len(vocab)} tokens -> {args.out}")
     return 0
@@ -390,11 +389,10 @@ def cmd_decode(args):
     beam = _settings(args).beam
     sv, tv = _vocab(args.src_vocab), _vocab(args.tgt_vocab)
     model = model_of(Checkpoint.load(_require_file(args.ckpt, "checkpoint")), sv, tv)
-    adapter = AdapterMatrix.load(_require_file(args.adapter, "adapter")) if args.adapter else None
     sentences = _read_token_lines(args.input)
     if args.tag:
         sentences = sv.tagged(sentences, args.tag)
-    hyps = translate_tokens(model, sentences, beam, adapter=adapter)
+    hyps = translate_tokens(model, sentences, beam)
     _write_lines(args.output, [bpe.detokenize(h) for h in hyps])
     return 0
 
@@ -467,7 +465,6 @@ def cmd_recipe(args):
                     with open(run_dir / "report.json", encoding="utf-8") as f:
                         all_results.append(json.load(f))
                     continue
-            run_dir.mkdir(parents=True, exist_ok=True)
             manifest = RunManifest(run_dir)
             res = run_recipe(wb, name)
             report = {
@@ -646,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--adapter", default=None)
     p.add_argument("--tag", default=None, help="target-language tag for multilingual models")
     p.set_defaults(func=cmd_decode)
 

@@ -89,7 +89,6 @@ def beam_search_batch(
     model: Seq2SeqModel,
     src_id_lists: list,
     cfg: BeamConfig,
-    adapter=None,
 ) -> list:
     """Decode a batch of id sequences; returns one Hypothesis per input, in order.
 
@@ -108,7 +107,7 @@ def beam_search_batch(
 
     src = pad_rows([src_id_lists[i] for i in live_idx], sv.pad_id)
     model.set_train(False)
-    memory = model.encode(src, adapter=adapter)
+    memory = model.encode(src)
     state = model.start_decode(memory, src)
 
     k = cfg.beam_size
@@ -185,7 +184,6 @@ def translate_tokens(
     model: Seq2SeqModel,
     sentences: list,
     cfg: BeamConfig,
-    adapter=None,
     batch_size: int = 64,
 ) -> list:
     """Translate token-list sentences; output token lists in input order.
@@ -198,7 +196,7 @@ def translate_tokens(
     for lo in range(0, len(sentences), batch_size):
         chunk = sentences[lo : lo + batch_size]
         ids = [sv.encode(s) + [sv.eos_id] if s else [] for s in chunk]
-        hyps = beam_search_batch(model, ids, cfg, adapter=adapter)
+        hyps = beam_search_batch(model, ids, cfg)
         out.extend(tv.decode(h.ids) for h in hyps)
     return out
 

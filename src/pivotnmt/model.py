@@ -1,13 +1,14 @@
 """Transformer encoder-decoder with named parameter groups.
 
 Parameters are keyed "group/..." where group is one of src_embed, encoder,
-tgt_embed, decoder, output_proj; transfer surgery and freezing operate on
+tgt_embed, decoder, output_proj, adapter; transfer surgery and freezing operate on
 those groups. The variant is pre-norm (final norm after each stack) with
 learned positional embeddings, which puts encoder-side positional parameters
 inside the src_embed group where freezing expects them.
 
-An optional d x d adapter matrix can be applied position-wise to the encoder
-output, after the final encoder norm, as the last step before cross-attention.
+A model may carry a fixed d x d adapter, `adapter/m` (`requires_grad` always
+off, see `attach_adapter`), applied position-wise to the encoder output,
+after the final encoder norm, as the last step before cross-attention.
 
 The layer sequence is written once, in helpers that take an op set: the
 tape module `tensor` (Tensors recorded for backward, every op checked for
@@ -115,6 +116,11 @@ class ModelConfig:
             raise ModelError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
             )
+        if self.dtype not in ("float32", "float64"):
+            raise ModelError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        for key in ("dropout", "label_smoothing"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ModelError(f"{key} must be in [0, 1), got {getattr(self, key)}")
 
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
@@ -192,7 +198,7 @@ def init_params(
     return Seq2SeqModel(config, src_vocab, tgt_vocab, params)
 
 
-PARAM_GROUPS = ("src_embed", "encoder", "tgt_embed", "decoder", "output_proj")
+PARAM_GROUPS = ("src_embed", "encoder", "tgt_embed", "decoder", "output_proj", "adapter")
 ENCODER_SIDE_GROUPS = ("src_embed", "encoder")
 
 
@@ -226,6 +232,16 @@ class Seq2SeqModel:
             prefix, rest = re.match(r"(\w+/l\d+|\w+)/(.+)", name).groups()
             self._index.setdefault(prefix, []).append((rest, name))
 
+    def attach_adapter(self, m) -> None:
+        """Add the adapter `m` as the parameter `adapter/m`, in the model dtype and frozen."""
+        d = self.config.model_dim
+        if "adapter/m" in self.params:
+            raise ModelError("the model already has an adapter")
+        if np.shape(m) != (d, d):
+            raise ModelError(f"adapter shape {np.shape(m)} does not match d={d}")
+        self.params["adapter/m"] = T.Tensor(m, dtype=self.config.np_dtype())
+        self._index["adapter"] = [("m", "adapter/m")]
+
     # -- bookkeeping --------------------------------------------------------
 
     def param_names(self, group: str | None = None) -> list:
@@ -256,11 +272,6 @@ class Seq2SeqModel:
     # -- building blocks ----------------------------------------------------
     # Each helper takes the op set it runs on: the tape module `T` itself
     # (Tensors, recorded for backward) or `T.ArrayOps` (plain arrays).
-
-    @staticmethod
-    def _leaf(ops, t: T.Tensor):
-        """A tape leaf as `ops` takes it: the Tensor, or its array."""
-        return t if ops is T else t.data
 
     def _bind(self, ops, prefix) -> dict:
         """The parameters of a layer or group as `ops` takes them, keyed by
@@ -330,8 +341,8 @@ class Seq2SeqModel:
 
     # -- encoder / decoder --------------------------------------------------
 
-    def _encoder(self, ops, src_ids: np.ndarray, adapter=None):
-        """Encoder states (B * Ls, d) of src ids (B, Ls), the adapter applied."""
+    def _encoder(self, ops, src_ids: np.ndarray):
+        """Encoder states (B * Ls, d) of src ids (B, Ls), the adapter (if any) applied."""
         src_ids = np.asarray(src_ids)
         if src_ids.ndim != 2:
             raise ModelError(f"src ids must be (batch, length), got {src_ids.shape}")
@@ -349,20 +360,16 @@ class Seq2SeqModel:
             h = self._norm(ops, w, "ff_norm", x)
             x = self._residual(ops, x, self._ff(ops, w, h))
         x = self._norm(ops, final, "final_norm", x)
-        if adapter is not None:
-            m = self._leaf(ops, adapter.as_tensor(x.dtype))
-            d = self.config.model_dim
-            if m.shape != (d, d):
-                raise ModelError(f"adapter shape {m.shape} does not match d={d}")
-            x = ops.matmul(x, ops.transpose(m))
+        if "adapter/m" in self.params:
+            x = ops.matmul(x, ops.transpose(self._bind(ops, "adapter")["m"]))
         return x
 
-    def encode(self, src_ids: np.ndarray, adapter=None) -> np.ndarray:
-        """Encoder states (B, Ls, d); adapter (if given) is applied position-wise.
+    def encode(self, src_ids: np.ndarray) -> np.ndarray:
+        """Encoder states (B, Ls, d), the adapter (if any) applied position-wise.
 
         Checked once for NaN/Inf, padding positions included.
         """
-        x = self._encoder(T.ArrayOps, src_ids, adapter)
+        x = self._encoder(T.ArrayOps, src_ids)
         return T.check_finite("encode", x.reshape(np.shape(src_ids) + (self.config.model_dim,)))
 
     def _out_weight(self, ops):
@@ -426,7 +433,7 @@ class Seq2SeqModel:
         dec_in[:, 1:] = tgt_ids[:, :-1]
         return dec_in
 
-    def forward_loss(self, batch: Batch, adapter=None) -> T.Tensor:
+    def forward_loss(self, batch: Batch) -> T.Tensor:
         """Label-smoothed mean per-token cross-entropy; padding masked out.
 
         A frozen encoder runs on plain arrays, its states checked once for
@@ -437,9 +444,9 @@ class Seq2SeqModel:
         if weights.sum() == 0:
             raise ModelError("batch has an all-padding target")
         if any(p.requires_grad for n, p in self.params.items() if group_of(n) in ENCODER_SIDE_GROUPS):
-            memory = self._encoder(T, batch.src, adapter)
+            memory = self._encoder(T, batch.src)
         else:
-            memory = T.Tensor(T.check_finite("encode", self._encoder(T.ArrayOps, batch.src, adapter)))
+            memory = T.Tensor(T.check_finite("encode", self._encoder(T.ArrayOps, batch.src)))
         dec = self._decoder_weights(T)
         cross = self._cross_kv(T, dec[1], memory, tgt.shape[0])
         src_pad = batch.src == self.src_vocab.pad_id
@@ -448,10 +455,10 @@ class Seq2SeqModel:
             logits, tgt.ravel(), weights, label_smoothing=self.config.label_smoothing
         )
 
-    def token_logprobs(self, batch: Batch, adapter=None) -> tuple:
+    def token_logprobs(self, batch: Batch) -> tuple:
         """(logprob of each reference token, pad mask), on plain arrays; the
         logits are checked once for NaN/Inf."""
-        memory = self.encode(batch.src, adapter=adapter)
+        memory = self.encode(batch.src)
         b, ls, d = memory.shape
         dec = self._decoder_weights(T.ArrayOps)
         cross = self._cross_kv(T.ArrayOps, dec[1], memory.reshape(b * ls, d), b)

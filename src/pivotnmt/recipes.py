@@ -4,8 +4,8 @@ A Workbench owns one (world, settings, seed) tuple and lazily builds shared
 stages: subword models for the separate/joint/multilingual regimes, the
 pre-trained parents, adapters, and synthetic corpora. Stages are cached in
 memory and, when a cache directory is given, checkpoints also on disk keyed
-by a digest of the full configuration, so grid runs share parents across
-recipes and reruns are no-ops.
+by a digest of the configuration they read, so grid runs and fine-tuning or
+beam sweeps share parents, and reruns are no-ops.
 
 `RECIPES` maps each recipe name to a builder that composes those stages into
 a decodable source->target `System`; `run_recipe` scores every system the
@@ -84,9 +84,15 @@ class Settings:
                     "ae_weight"):
             if getattr(self, key) < 1:
                 raise RecipeError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.adapter_pooling not in ("average", "max"):
+            raise RecipeError(f"adapter_pooling must be average or max: {self.adapter_pooling!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# the Settings fields the disk-cached `ckpt_*` stages read: the ones `config_digest` hashes
+STAGE_SETTINGS = ("model", "pretrain", "merge_count", "noise", "ae_weight")
 
 
 def typed_like(default, value) -> bool:
@@ -146,16 +152,15 @@ class Workbench:
         self.corpora = generate_toy_corpora(world)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._mem: dict = {}
-        if self.cache_dir:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     # -- configuration digest for disk caching ------------------------------
 
     def config_digest(self) -> str:
+        settings = self.settings.to_dict()
         blob = json.dumps(
             {
                 "world": asdict(self.world),
-                "settings": self.settings.to_dict(),
+                "settings": {key: settings[key] for key in STAGE_SETTINGS},
                 "seed": self.seed,
                 # an unpinned process's stages may differ in their last bits
                 "blas_pinned": BLAS_PINNED,
@@ -487,10 +492,10 @@ class System:
         return bleu(hyps, [t for _, t in corpus.pairs])
 
 
-def _system(wb, ck, src_bpe, src_vocab, adapter=None, **details) -> System:
+def _system(wb, ck, src_bpe, src_vocab, **details) -> System:
     """Decode with checkpoint `ck` into the separate-BPE target vocabulary."""
     model = model_of(ck, src_vocab, wb.vocab_sep("tgt"))
-    decode = partial(translate_tokens, model, cfg=wb.settings.beam, adapter=adapter)
+    decode = partial(translate_tokens, model, cfg=wb.settings.beam)
     return System(src_bpe, decode, ck.content_hash(), details)
 
 
@@ -512,7 +517,7 @@ def _fit(wb, src_bpe, src_vocab, train_corpora, schedule, parent=None, recipe="t
             parent, src_vocab, tgt_vocab, (train_corpora, val), schedule, seed=wb.seed,
             adapter=adapter,
         )
-    return _system(wb, ck, src_bpe, src_vocab, adapter, **details)
+    return _system(wb, ck, src_bpe, src_vocab, **details)
 
 
 def _plain_child(wb) -> Checkpoint:

@@ -139,7 +139,6 @@ def generate_toy_corpora(spec: ToyWorldSpec) -> dict:
 def write_toy_corpora(spec: ToyWorldSpec, out_dir) -> dict:
     """Generate and write corpus files plus a manifest with seeds and sizes."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpora = generate_toy_corpora(spec)
     manifest = {"seed": spec.seed, "spec": asdict(spec), "files": {}, "sizes": {}}
     for name, corpus in corpora.items():

@@ -5,15 +5,16 @@ step-wise pre-training (stage 1 is an ordinary `train` run, or
 `crosslingual_pretrain`, over the joint source+pivot vocabulary; stage 2
 trains pivot->target on its frozen encoder), cross-lingual encoder
 pre-training over a translation+denoising mixture, and fine-tuning with an
-optional fixed adapter. A run trains on a list of corpora (see `data`): a
-mixture is one corpus per part, and the multilingual baselines pass one
-tagged corpus per direction, the target-language tag a source token.
-Freezing a parameter group means `requires_grad` off for the run: the group
-is never differentiated or updated. The learning-rate schedule is plateau
-decay: the lr is multiplied by 0.7 whenever validation perplexity has not
-improved for three consecutive checkpoints, and training stops after eight
-consecutive non-improving checkpoints. The best-validation parameters are
-what a run returns.
+optional fixed adapter, the frozen model parameter `adapter/m`. A run trains
+on a list of corpora (see `data`): a mixture is one corpus per part, and the
+multilingual baselines pass one tagged corpus per direction, the
+target-language tag a source token. Freezing a parameter group means
+`requires_grad` off for the run: the group is never differentiated or
+updated. The learning-rate schedule is plateau decay: the lr is multiplied
+by 0.7 whenever validation perplexity has not improved for three
+consecutive checkpoints, and training stops after eight consecutive
+non-improving checkpoints. The best-validation parameters are what a run
+returns.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class ScheduleTracker:
         }
 
 
-def validation_perplexity(model: Seq2SeqModel, corpus, max_tokens: int, adapter=None) -> float:
+def validation_perplexity(model: Seq2SeqModel, corpus, max_tokens: int) -> float:
     """exp(mean token NLL) over a corpus, deterministic, no smoothing."""
     stream = make_batches(
         [corpus], model.src_vocab, model.tgt_vocab, max_tokens, seed=0, epoch=0,
@@ -108,7 +109,7 @@ def validation_perplexity(model: Seq2SeqModel, corpus, max_tokens: int, adapter=
     total_tokens = 0
     model.set_train(False)
     for batch in stream.batches:
-        tok_lp, mask = model.token_logprobs(batch, adapter=adapter)
+        tok_lp, mask = model.token_logprobs(batch)
         total_nll += -(tok_lp * mask).sum()
         total_tokens += int(mask.sum())
     return float(np.exp(total_nll / max(total_tokens, 1)))
@@ -131,13 +132,15 @@ def checkpoint_of(model: Seq2SeqModel, provenance: dict, schedule_state: dict | 
 
 
 def model_of(ckpt: Checkpoint, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> Seq2SeqModel:
-    """Instantiate a model from a checkpoint, verifying vocabulary hashes."""
+    """A checkpoint's model, its adapter included, with vocabulary hashes verified."""
     if ckpt.src_vocab_hash != src_vocab.content_hash():
         raise VocabMismatchError("source vocabulary hash mismatch against checkpoint")
     if ckpt.tgt_vocab_hash != tgt_vocab.content_hash():
         raise VocabMismatchError("target vocabulary hash mismatch against checkpoint")
     config = ModelConfig(**ckpt.config)
     model = init_params(config, src_vocab, tgt_vocab, seed=0)
+    if "adapter/m" in ckpt.params:
+        model.attach_adapter(ckpt.params["adapter/m"])
     model.load_param_arrays(ckpt.params)
     return model
 
@@ -149,7 +152,6 @@ def train(
     schedule: TrainSchedule,
     seed: int,
     frozen_groups=(),
-    adapter: AdapterMatrix | None = None,
     recipe: str = "train",
     parents: list | None = None,
     log_path=None,
@@ -206,7 +208,7 @@ def train(
                 model.set_train(True, drop_rng)
                 model.zero_grad()
                 try:
-                    loss = model.forward_loss(batch, adapter=adapter)
+                    loss = model.forward_loss(batch)
                     T.backward(loss)
                 except T.NonFiniteError as e:
                     log.warning("%s diverged at step %d: %s", recipe, updates, e)
@@ -217,9 +219,7 @@ def train(
                 last_loss = loss.item()
                 updates += 1
                 if updates % schedule.checkpoint_interval == 0:
-                    ppl = validation_perplexity(
-                        model, val_corpus, schedule.max_tokens, adapter=adapter
-                    )
+                    ppl = validation_perplexity(model, val_corpus, schedule.max_tokens)
                     events = tracker.observe(ppl)
                     emit(updates, last_loss, ppl)
                     if events["improved"]:
@@ -233,7 +233,7 @@ def train(
                     break
             epoch += 1
         if not diverged and (updates % schedule.checkpoint_interval != 0 or updates == 0):
-            ppl = validation_perplexity(model, val_corpus, schedule.max_tokens, adapter=adapter)
+            ppl = validation_perplexity(model, val_corpus, schedule.max_tokens)
             if tracker.observe(ppl)["improved"]:
                 best_arrays = model.clone_params()
             emit(updates, last_loss if updates else float("nan"), ppl)
@@ -255,11 +255,7 @@ def train(
         "parents": parents or [],
         "updates": updates,
         "diverged": diverged,
-        "adapter": None if adapter is None else {
-            "provenance": adapter.provenance,
-            "pooling": adapter.pooling,
-            "position": "post_encoder_norm",
-        },
+        "adapter": None,
     }
     return checkpoint_of(model, provenance, tracker.state())
 
@@ -447,10 +443,11 @@ def finetune(
     """Continue training on source-target data with all groups unfrozen:
     `src_tgt` is (training corpora, validation corpus).
 
-    The adapter (when present) stays fixed and is applied to encoder outputs
-    for the whole run. Combining an adapter with a step-wise pre-trained
-    checkpoint is refused unless explicitly overridden, since the decoder is
-    already trained against this encoder's output space.
+    The adapter (when given) is attached to the model as the frozen
+    `adapter/m`: it is applied to encoder outputs for the whole run, and the
+    returned checkpoint holds it. Combining an adapter with a step-wise
+    pre-trained checkpoint is refused unless explicitly overridden, since the
+    decoder is already trained against this encoder's output space.
     """
     train_corpora, val_corpus = src_tgt
     if not any(len(c) for c in train_corpora):
@@ -463,21 +460,22 @@ def finetune(
                 "pass the override flag to force it"
             )
         log.warning("adapter combined with step-wise checkpoint (override in effect)")
-    if adapter is not None and adapter.d != ckpt.config["model_dim"]:
-        raise TrainingError(
-            f"adapter dim {adapter.d} does not match model dim {ckpt.config['model_dim']}"
-        )
     model = model_of(ckpt, src_vocab, tgt_vocab)
-    return train(
+    if adapter is not None:
+        model.attach_adapter(adapter.m)
+    out = train(
         model,
         train_corpora,
         val_corpus,
         schedule,
         seed=seed,
-        adapter=adapter,
         recipe="finetune",
         parents=[ckpt.provenance],
     )
+    if adapter is not None:
+        out.provenance["adapter"] = {"provenance": adapter.provenance, "pooling": adapter.pooling,
+                                     "position": "post_encoder_norm"}
+    return out
 
 
 def _provenance_recipes(prov: dict) -> list:

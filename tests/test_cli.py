@@ -4,17 +4,20 @@ against the Workbench stages they reproduce, manifests, exit codes."""
 import argparse
 import json
 import shutil
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 from pivotnmt import bpe, recipes
+from pivotnmt.adapter import AdapterMatrix, make_baseline_adapter
 from pivotnmt.checkpoint import Checkpoint
 from pivotnmt.cli import CliError, build_parser, experiment_pieces, load_experiment_config, main
 from pivotnmt.data import ParallelCorpus
 from pivotnmt.decoding import translate_side, translate_tokens
 from pivotnmt.model import ModelConfig, init_params
 from pivotnmt.recipes import Settings, Workbench
+from pivotnmt.toyworld import ToyWorldSpec
 from pivotnmt.training import checkpoint_of, model_of
 
 TINY_CONFIG = {
@@ -82,10 +85,10 @@ def test_an_interrupted_recipe_reuses_its_finished_stages(recipe_out, tmp_path, 
             left = iter(range(5))
             forward_loss = model.forward_loss
 
-            def dying_forward_loss(batch, adapter=None):
+            def dying_forward_loss(batch):
                 if next(left, None) is None:
                     raise KeyboardInterrupt
-                return forward_loss(batch, adapter=adapter)
+                return forward_loss(batch)
 
             model.forward_loss = dying_forward_loss
         return real_train(model, *args, **kwargs)
@@ -175,6 +178,10 @@ def _config_commands(absent):
         ("{}", ["settings.beam.max_length_constant=-1"]),
         # the toy world always has the languages src, piv and tgt
         ("{}", ['world.languages=["src","piv","tgt"]']),
+        ("{}", ["settings.model.dtype=float16"]),
+        ("{}", ["settings.model.dropout=1.0"]),
+        ("{}", ["settings.model.label_smoothing=-0.1"]),
+        ("{}", ["settings.adapter_pooling=none"]),
     ],
 )
 def test_bad_config_exits_4(tmp_path, capsys, config_text, overrides):
@@ -405,6 +412,47 @@ def test_decoding_commands_decode_with_settings_beam(staged, tmp_path):
     assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
 
 
+def test_decode_of_an_adapter_child_applies_the_adapter_it_carries(staged, tmp_path, capsys):
+    path, config = staged
+    _, settings = experiment_pieces(load_experiment_config(config))
+    sv, pv = (bpe.Vocabulary.load(path(lang, "vocab")) for lang in ("src", "piv"))
+    parent, adapter = tmp_path / "parent.ckpt", tmp_path / "random.adapter"
+    checkpoint_of(init_params(settings.model, sv, pv, 0), {}).save(parent)
+    make_baseline_adapter("random", settings.model.model_dim, seed=1).save(adapter)
+    vocabs = ["--src-vocab", path("src", "vocab"), "--tgt-vocab", path("piv", "vocab")]
+    child = tmp_path / "child.ckpt"
+    assert main([
+        "finetune", "--config", config, "--set", "settings.finetune.max_updates=2",
+        "--ckpt", str(parent), "--adapter", str(adapter),
+        "--src-train", path("src", "src-piv.src"), "--tgt-train", path("piv", "src-piv.piv"),
+        "--src-val", path("src", "src-piv.val.src"), "--tgt-val", path("piv", "src-piv.val.piv"),
+        *vocabs, "--out", str(child),
+    ]) == 0
+    decode = ["decode", "--config", config, "--ckpt", str(child), *vocabs,
+              "--input", path("src", "src-piv.val.src")]
+    out = tmp_path / "decoded.txt"
+    assert main([*decode, "--output", str(out)]) == 0
+
+    # the explicit path: the child's other weights, the adapter attached from its file
+    ck = Checkpoint.load(child)
+    m = ck.params.pop("adapter/m")
+    assert m.tobytes() == AdapterMatrix.load(adapter).m.astype(m.dtype).tobytes()
+    model = model_of(ck, sv, pv)
+    sentences = [line.split() for line in Path(path("src", "src-piv.val.src")).read_text(
+        encoding="utf-8").splitlines()]
+    without = translate_tokens(model, sentences, settings.beam)
+    model.attach_adapter(AdapterMatrix.load(adapter).m)
+    want = translate_tokens(model, sentences, settings.beam)
+    assert want != without
+    assert out.read_text(encoding="utf-8").splitlines() == [bpe.detokenize(h) for h in want]
+
+    # the adapter is in the checkpoint: decode takes no --adapter
+    never = tmp_path / "never.txt"
+    assert main([*decode, "--output", str(never), "--adapter", str(adapter)]) == 2
+    assert "code=usage" in capsys.readouterr().err
+    assert not never.exists()
+
+
 def test_decode_tag_decodes_as_the_multilingual_recipe(staged, tmp_path, capsys):
     _, config = staged
     wb = Workbench(*experiment_pieces(PARITY_CONFIG), 3)
@@ -524,6 +572,30 @@ def artifacts(tmp_path):
 def _decode(p, ckpt, src_vocab):
     return ["decode", "--ckpt", p[ckpt], "--src-vocab", p[src_vocab], "--tgt-vocab", p["b"],
             "--input", p["input"], "--output", p["output"]]
+
+
+def test_out_may_name_a_new_directory(artifacts, tmp_path):
+    out = tmp_path / "new" / "dir" / "x.ckpt"
+    argv = ["transfer-init", "--encoder-parent", artifacts["ab"], "--decoder-parent",
+            artifacts["bc"], "--out", str(out)]
+    assert main(argv) == 0
+    assert Checkpoint.load(out).params.keys() == Checkpoint.load(artifacts["ab"]).params.keys()
+    assert [p.name for p in out.parent.iterdir()] == ["x.ckpt"]
+
+
+def _leaves(config) -> int:
+    return sum(_leaves(v) if is_dataclass(v) else 1
+               for v in (getattr(config, f.name) for f in fields(config)))
+
+
+def test_knob_counts_are_pinned():
+    # a change that adds or removes a knob updates its count here and says why
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = sum(1 for p in sub.choices.values() for a in p._actions
+                  if a.option_strings and not isinstance(a, argparse._HelpAction))
+    assert options == 126
+    assert _leaves(Settings()) == 37
+    assert _leaves(ToyWorldSpec()) == 11
 
 
 def test_exit_codes_follow_the_exception_class(artifacts, capsys):

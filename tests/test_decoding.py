@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pivotnmt import bpe, decoding
 from pivotnmt import tensor as T
+from pivotnmt.adapter import make_baseline_adapter
 from pivotnmt.bleu import BleuError, bleu
 from pivotnmt.data import ParallelCorpus
 from pivotnmt.decoding import (
@@ -22,7 +23,7 @@ from pivotnmt.decoding import (
     translate_tokens,
 )
 from pivotnmt.model import DecodeState, ModelConfig, Seq2SeqModel, init_params
-from pivotnmt.training import TrainSchedule, model_of, train
+from pivotnmt.training import TrainSchedule, checkpoint_of, model_of, train
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +200,9 @@ def test_decode_deterministic(copy_model):
 def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
     """Beam search that re-runs the decoder over every whole prefix at every
     step, on the tape layers, and never stops a sentence early: the
-    reference for `beam_search_batch`. Appends its step count to `steps` if
-    given."""
+    reference for `beam_search_batch`. `adapter` (an `AdapterMatrix`) is
+    applied explicitly to the encoder states of a model that carries none.
+    Appends its step count to `steps` if given."""
     sv, tv = model.src_vocab, model.tgt_vocab
     n = len(src_id_lists)
     results = [None] * n
@@ -216,7 +218,10 @@ def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
     for r, i in enumerate(live_idx):
         src[r, : len(src_id_lists[i])] = src_id_lists[i]
     model.set_train(False)
-    memory = model._encoder(T, src, adapter).data.reshape(src.shape + (-1,))
+    memory = model._encoder(T, src)
+    if adapter is not None:
+        memory = T.matmul(memory, T.transpose(T.Tensor(adapter.m, dtype=memory.dtype)))
+    memory = memory.data.reshape(src.shape + (-1,))
     dec = model._decoder_weights(T)
 
     k = cfg.beam_size
@@ -306,6 +311,20 @@ def test_beam_search_matches_full_recompute_reference(copy_model, beam, alpha):
         assert_same_hypotheses(
             beam_search_batch(model, ids, cfg), reference_beam_search(model, ids, cfg)
         )
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_beam_search_of_an_adapter_model_matches_the_explicit_adapter_reference(copy_model, beam):
+    model, corpus = copy_model
+    adapter = make_baseline_adapter("random", model.config.model_dim, seed=4)
+    adapted = model_of(checkpoint_of(model, {}), model.src_vocab, model.tgt_vocab)
+    adapted.attach_adapter(adapter.m)
+    ids = source_ids(model, [s for s, _ in corpus.pairs[:12]] + [[]])
+    cfg = BeamConfig(beam_size=beam)
+    got = beam_search_batch(adapted, ids, cfg)
+    assert_same_hypotheses(got, reference_beam_search(model, ids, cfg, adapter=adapter))
+    # the adapter changes what the model decodes
+    assert [h.ids for h in got] != [h.ids for h in beam_search_batch(model, ids, cfg)]
 
 
 def test_pivot_translate_matches_full_recompute_reference(pivot_chain, monkeypatch):

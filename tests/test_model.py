@@ -1,4 +1,4 @@
-"""Model invariants: gradients, causal masking, padding invariance, adapter hook."""
+"""Model invariants: gradients, causal masking, padding invariance, the adapter parameter."""
 
 import math
 
@@ -11,7 +11,8 @@ from pivotnmt.adapter import collect_pairs, make_baseline_adapter
 from pivotnmt.data import Batch, ParallelCorpus
 from pivotnmt.decoding import BeamConfig, beam_search_batch
 from pivotnmt.model import (
-    PARAM_GROUPS, DecodeState, ModelConfig, ModelError, Seq2SeqModel, group_of, init_params,
+    ENCODER_SIDE_GROUPS, PARAM_GROUPS, DecodeState, ModelConfig, ModelError, Seq2SeqModel,
+    group_of, init_params,
 )
 
 
@@ -23,6 +24,20 @@ def tiny_model(seed=0, dtype="float64", dropout=0.0, **kw) -> Seq2SeqModel:
     sizes = dict(layers=1, model_dim=8, ff_dim=16, heads=2, max_len=16)
     cfg = ModelConfig(dropout=dropout, dtype=dtype, **{**sizes, **kw})
     return init_params(cfg, tiny_vocab("s", 7), tiny_vocab("t", 9), seed)
+
+
+def with_adapter(model, adapter) -> Seq2SeqModel:
+    """A second model with the weights of `model` that carries `adapter`."""
+    twin = init_params(model.config, model.src_vocab, model.tgt_vocab, 0)
+    twin.load_param_arrays(model.clone_params())
+    twin.attach_adapter(adapter.m)
+    return twin
+
+
+def apply_adapter(memory, adapter):
+    """The tape path's adapter step, `adapter` applied explicitly to the
+    encoder states (rows, d) of a model that carries none."""
+    return T.matmul(memory, T.transpose(T.Tensor(adapter.m, dtype=memory.dtype)))
 
 
 def random_batch(model, rng, b=3, ls=5, lt=6) -> Batch:
@@ -87,7 +102,7 @@ def test_adapter_identity_matches_plain_encode():
     ids = np.array([[4, 5, 6, 2]])
     ident = make_baseline_adapter("identity", 8)
     a = model.encode(ids)
-    b = model.encode(ids, adapter=ident)
+    b = with_adapter(model, ident).encode(ids)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -96,9 +111,25 @@ def test_adapter_linearity_exact():
     ids = np.array([[4, 5, 6], [5, 6, 4]])
     adapter = make_baseline_adapter("random", 8, seed=3)
     plain = model.encode(ids)
-    mapped = model.encode(ids, adapter=adapter)
+    mapped = with_adapter(model, adapter).encode(ids)
     direct = plain.reshape(-1, 8) @ adapter.m.T
     np.testing.assert_array_equal(mapped.reshape(-1, 8), direct)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_attach_adapter_adds_a_frozen_parameter_in_the_model_dtype(dtype):
+    model = tiny_model(dtype=dtype)
+    adapter = make_baseline_adapter("random", 8, seed=3)
+    model.attach_adapter(adapter.m)
+    m = model.params["adapter/m"]
+    assert not m.requires_grad
+    assert m.data.tobytes() == adapter.m.astype(dtype).tobytes()
+    assert model.param_names("adapter") == ["adapter/m"]
+    assert "adapter/m" not in model.frozen_param_names(ENCODER_SIDE_GROUPS)
+    with pytest.raises(ModelError, match="already has an adapter"):
+        model.attach_adapter(adapter.m)
+    with pytest.raises(ModelError, match="shape"):
+        tiny_model().attach_adapter(np.eye(4))
 
 
 def test_untrained_loss_close_to_log_vocab():
@@ -278,8 +309,8 @@ def test_step_logits_match_decode_states_with_reorder_and_adapter():
     sv, tv = model.src_vocab, model.tgt_vocab
     src = rng.integers(sv.n_special, len(sv), size=(2, 5))
     src[0, 3:] = sv.pad_id  # padded source
-    adapter = make_baseline_adapter("random", 8, seed=3)
-    memory = model.encode(src, adapter=adapter)
+    model.attach_adapter(make_baseline_adapter("random", 8, seed=3).m)
+    memory = model.encode(src)
     state = model.start_decode(memory, src)
 
     sentence = np.arange(2)  # source sentence of each state row
@@ -436,7 +467,9 @@ def broadcast_mask(blocked, shape):
 def reference_forward_loss(model, batch, adapter=None):
     """The training loss through the elementary tape primitives, one op per
     node, with a 3-D residual stream: the chain the fused primitives
-    replace, kept as their oracle."""
+    replace, kept as their oracle. `adapter` (an `AdapterMatrix`) is applied
+    explicitly, as the model applied it when it was an argument; `model`
+    itself carries none."""
     src, tgt = batch.src, batch.tgt
     d, h = model.config.model_dim, model.config.heads
     (b, ls), lt = src.shape, tgt.shape[1]
@@ -462,8 +495,7 @@ def reference_forward_loss(model, batch, adapter=None):
         x = ff_block(p, x, ls)
     memory = tape_norm(model, "encoder/final_norm", x)
     if adapter is not None:
-        m = T.transpose(adapter.as_tensor(memory.dtype))
-        memory = T.reshape(T.matmul(T.reshape(memory, (b * ls, d)), m), (b, ls, d))
+        memory = T.reshape(apply_adapter(T.reshape(memory, (b * ls, d)), adapter), (b, ls, d))
 
     mem2d = T.reshape(memory, (b * ls, d))
     cross = [
@@ -496,18 +528,21 @@ def test_fused_training_loss_and_every_gradient_equal_the_primitive_chain_bitwis
     if case == "encoder_frozen":
         freeze(model, {"encoder", "src_embed"})
 
-    def run(forward):
+    def run(forward, model, **kw):
         model.zero_grad()
         model.set_train(True, np.random.default_rng(21))
-        loss = forward(model, batch, adapter=adapter)
+        loss = forward(model, batch, **kw)
         T.backward(loss)
         model.set_train(False)
         grads = {n: None if p.grad is None else p.grad.tobytes() for n, p in model.params.items()}
         return loss.data.tobytes(), grads
 
-    fused_loss, fused_grads = run(type(model).forward_loss)
-    ref_loss, ref_grads = run(reference_forward_loss)
+    # the model carrying the adapter against the oracle applying it explicitly
+    fused = model if adapter is None else with_adapter(model, adapter)
+    fused_loss, fused_grads = run(type(model).forward_loss, fused)
+    ref_loss, ref_grads = run(reference_forward_loss, model, adapter=adapter)
     assert fused_loss == ref_loss
+    assert fused_grads.pop("adapter/m", None) is None  # frozen for good
     assert fused_grads == ref_grads
     trained = {n for n, g in fused_grads.items() if g is not None}
     frozen = model.frozen_param_names({"encoder", "src_embed"})
@@ -515,31 +550,35 @@ def test_fused_training_loss_and_every_gradient_equal_the_primitive_chain_bitwis
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("with_adapter", [False, True])
-def test_array_path_equals_tape_path_bitwise(dtype, with_adapter):
-    model = tiny_model(dtype=dtype, layers=2)
+@pytest.mark.parametrize("adapted", [False, True])
+def test_array_path_equals_tape_path_bitwise(dtype, adapted):
+    plain = tiny_model(dtype=dtype, layers=2)
     rng = np.random.default_rng(11)
-    tv = model.tgt_vocab
-    src = padded_source(model, rng)
+    tv = plain.tgt_vocab
+    src = padded_source(plain, rng)
     tgt = rng.integers(tv.n_special, len(tv), size=(3, 5))
     tgt[1, -2:] = tv.pad_id
-    adapter = make_baseline_adapter("random", 8, seed=5) if with_adapter else None
-    dec_in = model.decoder_input(tgt)
+    adapter = make_baseline_adapter("random", 8, seed=5) if adapted else None
+    model = with_adapter(plain, adapter) if adapted else plain
+    dec_in = plain.decoder_input(tgt)
 
-    # the tape path, through the layer helpers on the tape op set
-    memory = model._encoder(T, src, adapter)
-    dec = model._decoder_weights(T)
-    cross = model._cross_kv(T, dec[1], memory, 3)
-    states = model._decoder(T, dec, dec_in, cross, src == model.src_vocab.pad_id)
+    # the tape path, through the layer helpers on the tape op set, of the
+    # adapter-free model with the adapter applied explicitly
+    memory = plain._encoder(T, src)
+    if adapter is not None:
+        memory = apply_adapter(memory, adapter)
+    dec = plain._decoder_weights(T)
+    cross = plain._cross_kv(T, dec[1], memory, 3)
+    states = plain._decoder(T, dec, dec_in, cross, src == plain.src_vocab.pad_id)
     logits = T.matmul(states, dec[3]).data
-    arr_memory = model.encode(src, adapter=adapter)
+    arr_memory = model.encode(src)
     assert type(arr_memory) is np.ndarray
     assert np.array_equal(arr_memory, memory.data.reshape(arr_memory.shape))
 
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     want = logp[np.arange(tgt.size), tgt.ravel()].reshape(tgt.shape)
-    got, mask = model.token_logprobs(Batch(src=src, tgt=tgt), adapter=adapter)
+    got, mask = model.token_logprobs(Batch(src=src, tgt=tgt))
     assert type(got) is np.ndarray and np.array_equal(got, want)
     assert np.array_equal(mask, tgt != tv.pad_id)
 

@@ -3,6 +3,7 @@
 import logging
 import re
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,9 @@ from pivotnmt import recipes
 from pivotnmt.checkpoint import MAGIC, Checkpoint
 from pivotnmt.decoding import BeamConfig
 from pivotnmt.model import ModelConfig
-from pivotnmt.recipes import GRIDS, RECIPES, RecipeError, Settings, Workbench, run_recipe
+from pivotnmt.recipes import (
+    GRIDS, RECIPES, STAGE_SETTINGS, RecipeError, Settings, Workbench, run_recipe,
+)
 from pivotnmt.toyworld import ToyWorldSpec
 from pivotnmt.training import TrainSchedule
 
@@ -135,3 +138,62 @@ def test_a_torn_cache_entry_is_rebuilt(wb, run, cache_dir, tmp_path, caplog):
         assert "rebuilding stage sep-src-piv" in caplog.text
         assert rebuilt.content_hash() == clean
         assert Checkpoint.load(entry).content_hash() == clean  # the entry was overwritten
+
+
+class SettingsSpy:
+    """A `Settings` stand-in that records the name of every field read."""
+
+    def __init__(self, settings):
+        self.settings = settings
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.settings, name)
+
+
+def test_the_cache_digest_covers_every_setting_a_cached_stage_reads():
+    short = TrainSchedule(initial_lr=1e-3, checkpoint_interval=2, max_updates=2)
+    spy = SettingsSpy(replace(tiny_settings(), pretrain=short))
+    wb = Workbench(TINY_WORLD, spy, 3)
+    # every disk-cached stage a recipe builds; each one's own stages are
+    # built inside it
+    for direction in ("src-piv", "piv-tgt", "piv-src"):
+        wb.ckpt_sep(direction)
+    wb.ckpt_joint_src_piv()
+    for stage1 in ("joint", "parallel-noisy", "parallel-clean", "mono-noisy", "mono-clean"):
+        wb.ckpt_stepwise(stage1)  # and the cross-lingual encoder it starts from
+    wb.ckpt_multilingual("many2many")
+    wb.ckpt_multilingual("many2many", zeroshot=True)
+    wb.ckpt_multilingual("many2one")
+    assert spy.read == set(STAGE_SETTINGS)
+
+
+@pytest.mark.parametrize(
+    "override, retrained",
+    [
+        ({"finetune": TrainSchedule(initial_lr=1e-3, checkpoint_interval=10, max_updates=20)}, []),
+        ({"beam": BeamConfig(beam_size=1)}, []),
+        ({"adapter_pooling": "max"}, []),
+        (
+            {"pretrain": TrainSchedule(initial_lr=1e-3, checkpoint_interval=10, max_updates=20)},
+            ["pretrain-src-piv-sep", "pretrain-piv-tgt-sep"],
+        ),
+    ],
+)
+def test_only_a_setting_the_parents_read_retrains_them(run, cache_dir, tmp_path, monkeypatch,
+                                                       override, retrained):
+    run("plain")  # trains the separate parents and saves them
+    stages = tmp_path / "stages"
+    shutil.copytree(cache_dir, stages)
+    real_train = recipes.train
+    trained = []
+
+    def counting_train(*args, **kwargs):
+        trained.append(kwargs["recipe"])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(recipes, "train", counting_train)
+    swept = Workbench(TINY_WORLD, replace(tiny_settings(), **override), 3, cache_dir=stages)
+    run_recipe(swept, "plain+adapter")
+    assert trained == retrained

@@ -246,11 +246,11 @@ def test_train_restores_requires_grad_on_return_divergence_and_error():
     calls = []
     forward_loss = model.forward_loss
 
-    def failing_forward_loss(batch, adapter=None):
+    def failing_forward_loss(batch):
         calls.append(batch)
         if len(calls) == 3:
             raise ModelError("injected failure")
-        return forward_loss(batch, adapter=adapter)
+        return forward_loss(batch)
 
     model.forward_loss = failing_forward_loss
     with pytest.raises(ModelError, match="injected"):
@@ -559,6 +559,35 @@ def test_finetune_rejects_empty_corpus_and_guards_adapter():
         adapter=adapter, allow_adapter_after_stepwise=True,
     )
     assert ck.provenance["adapter"]["provenance"] == "identity"
+    assert ck.params["adapter/m"].tobytes() == np.eye(16, dtype=np.float32).tobytes()
+
+
+def test_an_adapter_child_keeps_its_adapter_frozen_through_reload_and_finetune(tmp_path):
+    a, b, sv, tv = two_parents()
+    child = plain_transfer_init(a, b)
+    corpus = word_corpus(WORDS_S, WORDS_T, 20, seed=1, src_lang="src", tgt_lang="tgt")
+    val = word_corpus(WORDS_S, WORDS_T, 8, seed=0, src_lang="src", tgt_lang="tgt")
+    data, schedule = ([corpus], val), quick_schedule(max_updates=5)
+    adapter = make_baseline_adapter("random", 16, seed=2)
+    with pytest.raises(ModelError, match="shape"):
+        finetune(child, sv, tv, data, schedule, seed=0, adapter=make_baseline_adapter("identity", 8))
+    want = adapter.m.astype(np.float32).tobytes()
+    finetune(child, sv, tv, data, schedule, seed=0, adapter=adapter).save(tmp_path / "child.ckpt")
+    tuned = Checkpoint.load(tmp_path / "child.ckpt")
+    assert tuned.params["adapter/m"].tobytes() == want
+    model = model_of(tuned, sv, tv)
+    assert not model.params["adapter/m"].requires_grad
+    assert model.params["adapter/m"].data.tobytes() == want
+
+    again = finetune(tuned, sv, tv, data, schedule, seed=1)
+    assert again.params["adapter/m"].tobytes() == want
+    assert again.group_hash("decoder") != tuned.group_hash("decoder")  # the rest trained
+    with pytest.raises(ModelError, match="already has an adapter"):
+        finetune(tuned, sv, tv, data, schedule, seed=0, adapter=adapter)
+    # surgery copies encoder-side and decoder-side groups only: a parent
+    # that carries an adapter is refused, never stripped of it
+    with pytest.raises(TrainingError, match="surgery"):
+        plain_transfer_init(tuned, b)
 
 
 def test_tag_prepended_exactly_once():
