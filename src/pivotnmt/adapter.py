@@ -1,27 +1,21 @@
-"""Encoder-output adapter: pooling, closed-form orthogonal fit, packaging.
+"""Encoder-output adapter: pooling and the closed-form orthogonal fit.
 
 The adapter is a d x d matrix carrying pooled source-encoder sentence
 representations into the pivot-encoder representation space. Fitting solves
 min over orthogonal M of ||M S - P||_F in closed form: with U S V^T the SVD
-of P S^T, the minimizer is M = U V^T. The fit runs in double precision; a
-model that uses the matrix holds a copy in its own dtype
-(`Seq2SeqModel.attach_adapter`).
+of P S^T, the minimizer is M = U V^T (`procrustes`). `fit_adapter` returns
+the fit as a checkpoint holding the one parameter `adapter/m` in double
+precision, with the vocabularies of the two encoders it was fit on; a model
+that uses it holds a copy in its own dtype (`Seq2SeqModel.attach_adapter`).
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import Checkpoint
 from .data import ParallelCorpus, pad_rows
-from .fileio import write_atomic
-
-MAGIC = b"PVADPT01"
-_POOLING_CODE = {"average": 0, "max": 1, "none": 2}
-_PROVENANCE_CODE = {"procrustes": 0, "random": 1, "identity": 2}
 
 
 class AdapterError(Exception):
@@ -45,23 +39,6 @@ def pool_sentence(states: np.ndarray, mode: str, pad_mask: np.ndarray | None = N
     raise AdapterError(f"unknown pooling mode {mode!r}")
 
 
-@dataclass
-class PooledPairs:
-    """Column-aligned pooled representations of a source-pivot corpus."""
-
-    s: np.ndarray  # (d, n)
-    p: np.ndarray  # (d, n)
-    pooling: str
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        if self.s.shape != self.p.shape or self.s.ndim != 2:
-            raise AdapterError(
-                f"pooled sides disagree: {self.s.shape} vs {self.p.shape}"
-            )
-        self.n = self.s.shape[1]
-
-
 def _encode_pooled(model, sentences, mode: str, batch_size: int = 64) -> np.ndarray:
     """Pool encoder states of token-list sentences through a model's encoder."""
     vocab = model.src_vocab
@@ -75,15 +52,29 @@ def _encode_pooled(model, sentences, mode: str, batch_size: int = 64) -> np.ndar
     return np.stack(cols, axis=1).astype(np.float64)
 
 
-def collect_pairs(
+def procrustes(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The orthogonal M minimizing ||M s - p||_F for column-aligned (d, n)
+    pooled representations, in double precision."""
+    s = np.asarray(s, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if s.shape != p.shape or s.ndim != 2 or s.shape[1] < 1:
+        raise AdapterError(f"need two (d, n >= 1) pooled sides, got {s.shape} and {p.shape}")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(p))):
+        raise AdapterError("non-finite pooled representations")
+    r = T.svd(p @ s.T)
+    return r.u @ r.vt
+
+
+def fit_adapter(
     corpus: ParallelCorpus,
     src_encoder,
     piv_encoder,
     mode: str = "average",
     max_pairs: int | None = None,
     seed: int = 0,
-) -> PooledPairs:
-    """Pool both sides of a source-pivot corpus through their encoders.
+) -> Checkpoint:
+    """Pool both sides of a source-pivot corpus through their encoders and
+    fit the orthogonal adapter between them.
 
     With a shared cross-lingual encoder, pass the same model for both sides.
     The fitting subset (when max_pairs is set) is a seeded deterministic
@@ -99,93 +90,17 @@ def collect_pairs(
     work = corpus.subset(max_pairs, seed) if max_pairs is not None else corpus
     s = _encode_pooled(src_encoder, [p[0] for p in work.pairs], mode)
     p = _encode_pooled(piv_encoder, [p[1] for p in work.pairs], mode)
-    return PooledPairs(s=s, p=p, pooling=mode)
-
-
-@dataclass
-class AdapterMatrix:
-    """Fitted or baseline d x d mapping with its fit metadata."""
-
-    m: np.ndarray  # float64 master copy
-    pooling: str
-    provenance: str
-    orthogonality_error: float
-    fit_residual: float
-
-    @property
-    def d(self) -> int:
-        return self.m.shape[0]
-
-    def save(self, path):
-        header = struct.pack(
-            "<IBBHdd",
-            self.d,
-            _POOLING_CODE[self.pooling],
-            _PROVENANCE_CODE[self.provenance],
-            0,
-            self.orthogonality_error,
-            self.fit_residual,
-        )
-        write_atomic(path, MAGIC + header + np.ascontiguousarray(self.m, dtype="<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "AdapterMatrix":
-        with open(path, "rb") as f:
-            if f.read(8) != MAGIC:
-                raise AdapterError(f"{path} is not an adapter file")
-            d, pool_c, prov_c, _, orth, res = struct.unpack("<IBBHdd", f.read(24))
-            payload = f.read(8 * d * d)
-        m = np.frombuffer(payload, dtype="<f8").reshape(d, d).copy()
-        pooling = {v: k for k, v in _POOLING_CODE.items()}[pool_c]
-        provenance = {v: k for k, v in _PROVENANCE_CODE.items()}[prov_c]
-        return cls(
-            m=m,
-            pooling=pooling,
-            provenance=provenance,
-            orthogonality_error=orth,
-            fit_residual=res,
-        )
-
-
-def fit_adapter(pairs: PooledPairs) -> AdapterMatrix:
-    """Closed-form orthogonal Procrustes fit of pooled pairs."""
-    s = np.asarray(pairs.s, dtype=np.float64)
-    p = np.asarray(pairs.p, dtype=np.float64)
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(p))):
-        raise AdapterError("non-finite pooled representations")
-    if pairs.n < 1:
-        raise AdapterError("need at least one pooled pair")
-    r = T.svd(p @ s.T)
-    m = r.u @ r.vt
-    d = m.shape[0]
-    orth = float(np.abs(m.T @ m - np.eye(d)).max())
-    residual = float(np.linalg.norm(m @ s - p))
-    return AdapterMatrix(
-        m=m,
-        pooling=pairs.pooling,
-        provenance="procrustes",
-        orthogonality_error=orth,
-        fit_residual=residual,
-    )
-
-
-def make_baseline_adapter(kind: str, d: int, seed: int = 0) -> AdapterMatrix:
-    """Identity or seeded random (non-orthogonal) baseline mapping."""
-    if d < 1:
-        raise AdapterError("d must be >= 1")
-    if kind == "identity":
-        m = np.eye(d, dtype=np.float64)
-    elif kind == "random":
-        rng = np.random.default_rng(seed)
-        a = np.sqrt(3.0 / d)
-        m = rng.uniform(-a, a, size=(d, d)).astype(np.float64)
-    else:
-        raise AdapterError(f"unknown baseline adapter kind {kind!r}")
-    orth = float(np.abs(m.T @ m - np.eye(d)).max())
-    return AdapterMatrix(
-        m=m,
-        pooling="none",
-        provenance=kind,
-        orthogonality_error=orth,
-        fit_residual=-1.0,  # no fit happened
+    m = procrustes(s, p)
+    return Checkpoint(
+        params={"adapter/m": m},
+        config={},
+        src_vocab_hash=src_encoder.src_vocab.content_hash(),
+        tgt_vocab_hash=piv_encoder.src_vocab.content_hash(),
+        provenance={
+            "recipe": "fit_adapter",
+            "provenance": "procrustes",
+            "pooling": mode,
+            "orthogonality_error": float(np.abs(m.T @ m - np.eye(m.shape[0])).max()),
+            "fit_residual": float(np.linalg.norm(m @ s - p)),
+        },
     )

@@ -21,8 +21,14 @@ that runs that stage: `train` takes `model` and `pretrain` (`train
 commands (`decode`, `pivot-decode`, `distill`, `backtranslate`) take `beam`.
 Every command reads its config before it opens any other file. Any other
 top-level section, or a key or value the classes reject, is invalid-config.
-Every `--out` or `--output` path may name a new directory. A `finetune
---adapter` checkpoint holds its adapter, and `decode` applies it.
+Every `--out` or `--output` path may name a new directory. `xenc-pretrain`
+noises its autoencoding input exactly when `--joint-vocab` holds `<BLANK>`.
+`fit-adapter` writes a checkpoint holding the one parameter `adapter/m` and
+the vocabularies of the two encoders it was fit on. `finetune --adapter`
+reads it: a file that is not such a checkpoint is invalid-config, and an
+adapter fit on another source vocabulary than the `--ckpt` one is
+hash-mismatch. The fine-tuned checkpoint holds its adapter, and `decode`
+applies it.
 
 Step-wise pre-training is two commands, as in the recipes: `train
 --recipe-name pretrain-src-piv-joint` over the joint source+pivot
@@ -49,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bpe
-from .adapter import AdapterError, AdapterMatrix, collect_pairs, fit_adapter
+from .adapter import AdapterError, fit_adapter
 from .bleu import bleu
 from .checkpoint import Checkpoint, CheckpointError
 from .data import CorpusError, ParallelCorpus
@@ -339,9 +345,8 @@ def cmd_xenc_pretrain(args):
     )
     lines = _read_token_lines(args.autoenc)
     ck = crosslingual_pretrain(
-        settings.model, joint_vocab, piv_vocab, src_piv, lines,
-        None if args.clean else settings.noise, settings.pretrain,
-        seed=args.seed, autoenc_weight=settings.ae_weight,
+        settings.model, joint_vocab, piv_vocab, src_piv, lines, settings.noise,
+        settings.pretrain, seed=args.seed, autoenc_weight=settings.ae_weight,
     )
     ck.save(args.out)
     print(f"cross-lingual encoder checkpoint -> {args.out}")
@@ -355,15 +360,15 @@ def cmd_fit_adapter(args):
     enc_src = model_of(Checkpoint.load(_require_file(args.src_encoder, "checkpoint")), sv_a, tv_a)
     enc_piv = model_of(Checkpoint.load(_require_file(args.piv_encoder, "checkpoint")), sv_b, tv_b)
     corpus = _load_corpus(args.src, args.piv, "src", "piv")
-    pooled = collect_pairs(
+    adapter = fit_adapter(
         corpus, enc_src, enc_piv,
         mode=settings.adapter_pooling, max_pairs=settings.adapter_pairs, seed=args.seed,
     )
-    adapter = fit_adapter(pooled)
     adapter.save(args.out)
+    fit = adapter.provenance
     print(
-        f"adapter -> {args.out} (orthogonality error {adapter.orthogonality_error:.2e}, "
-        f"residual {adapter.fit_residual:.4f})"
+        f"adapter -> {args.out} (orthogonality error {fit['orthogonality_error']:.2e}, "
+        f"residual {fit['fit_residual']:.4f})"
     )
     return 0
 
@@ -374,7 +379,7 @@ def cmd_finetune(args):
     ck = Checkpoint.load(_require_file(args.ckpt, "checkpoint"))
     corpus = _load_corpus(args.src_train, args.tgt_train, "src", "tgt")
     val = _load_corpus(args.src_val, args.tgt_val, "src", "tgt")
-    adapter = AdapterMatrix.load(_require_file(args.adapter, "adapter")) if args.adapter else None
+    adapter = Checkpoint.load(_require_file(args.adapter, "adapter")) if args.adapter else None
     out = finetune(
         ck, sv, tv, ([corpus], val), settings.finetune, seed=args.seed,
         adapter=adapter,
@@ -584,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule-section", choices=("pretrain", "finetune"), default="pretrain",
                    help="which settings schedule to train on")
     p.add_argument("--recipe-name", default="train")
-    p.add_argument("--log", default=None)
+    p.add_argument("--log", default=None, help="file the run's step= lines replace")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -607,11 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stepwise)
 
-    p = sub.add_parser("xenc-pretrain", help="cross-lingual encoder pre-training")
+    p = sub.add_parser("xenc-pretrain", help="cross-lingual encoder pre-training, its "
+                       "autoencoding input noised when --joint-vocab holds <BLANK>")
     _add_common(p)
     for flag in ("joint-vocab", "piv-vocab", "src-train", "tgt-train", "src-val", "tgt-val", "autoenc"):
         p.add_argument(f"--{flag}", required=True)
-    p.add_argument("--clean", action="store_true", help="disable input noising")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_xenc_pretrain)
 
@@ -623,14 +628,15 @@ def build_parser() -> argparse.ArgumentParser:
         "piv-encoder-src-vocab", "piv-encoder-tgt-vocab",
     ):
         p.add_argument(f"--{flag}", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="adapter checkpoint holding adapter/m")
     p.set_defaults(func=cmd_fit_adapter)
 
     p = sub.add_parser("finetune", help="continue training on source-target data")
     _add_common(p)
     for flag in ("ckpt", "src-train", "tgt-train", "src-val", "tgt-val", "src-vocab", "tgt-vocab"):
         p.add_argument(f"--{flag}", required=True)
-    p.add_argument("--adapter", default=None)
+    p.add_argument("--adapter", default=None,
+                   help="fit-adapter checkpoint over the source vocabulary of --ckpt")
     p.add_argument("--force-adapter", action="store_true",
                    help="override the adapter-after-stepwise guard")
     p.add_argument("--out", required=True)

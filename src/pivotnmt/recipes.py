@@ -3,9 +3,9 @@
 A Workbench owns one (world, settings, seed) tuple and lazily builds shared
 stages: subword models for the separate/joint/multilingual regimes, the
 pre-trained parents, adapters, and synthetic corpora. Stages are cached in
-memory and, when a cache directory is given, checkpoints also on disk keyed
-by a digest of the configuration they read, so grid runs and fine-tuning or
-beam sweeps share parents, and reruns are no-ops.
+memory and, when a cache directory is given, checkpoints (adapters included)
+also on disk keyed by a digest of the configuration they read, so grid runs
+and fine-tuning, beam or adapter sweeps share parents, and reruns are no-ops.
 
 `RECIPES` maps each recipe name to a builder that composes those stages into
 a decodable source->target `System`; `run_recipe` scores every system the
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import BLAS_PINNED, bpe
-from .adapter import AdapterMatrix, collect_pairs, fit_adapter
+from .adapter import fit_adapter
 from .bleu import BleuReport, bleu
 from .checkpoint import Checkpoint, CheckpointError
 from .data import NoiseConfig, ParallelCorpus
@@ -343,7 +343,7 @@ class Workbench:
                 self.vocab_piv_jointseg(),
                 src_piv,
                 lines,
-                self.settings.noise if noisy else None,
+                self.settings.noise,
                 self.settings.pretrain,
                 seed=self.seed,
                 autoenc_weight=self.settings.ae_weight,
@@ -400,9 +400,11 @@ class Workbench:
 
     # -- adapters --------------------------------------------------------------
 
-    def adapter(self, flavor: str) -> AdapterMatrix:
-        """Procrustes adapter: 'plain' uses the two separate parents, 'xenc'
-        pools both sides through the shared cross-lingual encoder."""
+    def adapter(self, flavor: str) -> Checkpoint:
+        """Procrustes adapter checkpoint: 'plain' uses the two separate
+        parents, 'xenc' pools both sides through the shared cross-lingual
+        encoder. Its cache key names the two adapter settings, which the
+        digest leaves out."""
 
         def build():
             if flavor == "plain":
@@ -422,17 +424,11 @@ class Workbench:
             else:
                 raise RecipeError(f"unknown adapter flavor {flavor}")
             (seg,) = self.segmented("src-piv", src_bpe, piv_bpe, ("",))
-            pooled = collect_pairs(
-                seg,
-                enc_src,
-                enc_piv,
-                mode=self.settings.adapter_pooling,
-                max_pairs=self.settings.adapter_pairs,
-                seed=self.seed,
-            )
-            return fit_adapter(pooled)
+            return fit_adapter(seg, enc_src, enc_piv, mode=pooling, max_pairs=pairs,
+                               seed=self.seed)
 
-        return self._cached(f"adapter-{flavor}", build)
+        pooling, pairs = self.settings.adapter_pooling, self.settings.adapter_pairs
+        return self._cached(f"adapter-{flavor}-{pooling}-{pairs}", build)
 
     # -- synthetic corpora -------------------------------------------------------
 

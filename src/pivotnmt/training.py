@@ -4,8 +4,9 @@ Covers the direct and multilingual baselines, plain transfer surgery,
 step-wise pre-training (stage 1 is an ordinary `train` run, or
 `crosslingual_pretrain`, over the joint source+pivot vocabulary; stage 2
 trains pivot->target on its frozen encoder), cross-lingual encoder
-pre-training over a translation+denoising mixture, and fine-tuning with an
-optional fixed adapter, the frozen model parameter `adapter/m`. A run trains
+pre-training over a translation+denoising mixture, and fine-tuning through
+an optional fixed adapter: a checkpoint from `adapter.fit_adapter` whose one
+parameter becomes the frozen model parameter `adapter/m`. A run trains
 on a list of corpora (see `data`): a mixture is one corpus per part, and the
 multilingual baselines pass one tagged corpus per direction, the
 target-language tag a source token. Freezing a parameter group means
@@ -26,10 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterMatrix
+from .adapter import AdapterError
 from .bpe import HashMismatchError, Vocabulary
 from .checkpoint import Checkpoint
 from .data import NoiseConfig, ParallelCorpus, make_batches
+from .fileio import write_atomic
 from .model import ENCODER_SIDE_GROUPS, ModelConfig, ModelError, Seq2SeqModel, init_params
 
 log = logging.getLogger(__name__)
@@ -164,7 +166,8 @@ def train(
     nodes, gradients or Adam updates, so they stay bitwise unchanged. A
     frozen set with an unknown group or nothing left to train raises
     `TrainingError`. Divergence (non-finite loss) aborts and returns the
-    last good checkpoint.
+    last good checkpoint. The run's `step=` lines replace the file
+    `log_path`, when given, once the run ends.
     """
     try:
         frozen_names = model.frozen_param_names(frozen_groups)
@@ -244,9 +247,7 @@ def train(
             model.params[n].requires_grad = flag
 
     if log_path is not None:
-        with open(log_path, "a", encoding="utf-8") as f:
-            for line in log_lines:
-                f.write(line + "\n")
+        write_atomic(log_path, "".join(line + "\n" for line in log_lines))
 
     provenance = {
         "recipe": recipe,
@@ -271,8 +272,14 @@ def plain_transfer_init(src_piv_ckpt: Checkpoint, piv_tgt_ckpt: Checkpoint) -> C
     """Assemble a source->target model from two independently pre-trained parents.
 
     Encoder-side groups come bitwise from the source->pivot parent,
-    decoder-side groups from the pivot->target parent.
+    decoder-side groups from the pivot->target parent. A parent that holds
+    an adapter is refused: surgery never copies `adapter/m`, and dropping it
+    would change what the parent's encoder means.
     """
+    for side, parent in (("encoder", src_piv_ckpt), ("decoder", piv_tgt_ckpt)):
+        if parent.group_params("adapter"):
+            raise TrainingError(f"the {side} parent holds an adapter (adapter/m): "
+                                "transfer surgery copies no adapter")
     for key in ("model_dim", "layers", "ff_dim", "heads", "tied_output_embedding"):
         if src_piv_ckpt.config[key] != piv_tgt_ckpt.config[key]:
             raise TrainingError(
@@ -370,7 +377,7 @@ def crosslingual_pretrain(
     piv_vocab: Vocabulary,
     src_piv: tuple,
     autoenc_lines,
-    noise: NoiseConfig | None,
+    noise: NoiseConfig,
     schedule: TrainSchedule,
     seed: int,
     autoenc_weight: float = 1.0,
@@ -379,15 +386,15 @@ def crosslingual_pretrain(
 
     `autoenc_lines` supplies the pivot sentences to copy: either monolingual
     text or the pivot side of the parallel data; empty lines are skipped.
-    The copy corpus has weight `autoenc_weight` and its inputs are noised
-    with `noise`; `noise=None` is the clean copying variant.
+    The copy corpus has weight `autoenc_weight`. Its inputs are noised with
+    `noise` exactly when the joint vocabulary holds `<BLANK>`; without it
+    the run is the clean copying variant.
     """
-    if noise is not None and joint_vocab.blank_id is None:
-        raise TrainingError("noise enabled but <BLANK> is not in the joint vocabulary")
     train_corpus, val_corpus = src_piv
     piv = train_corpus.tgt_lang
     copies = [(list(l), list(l)) for l in autoenc_lines if l]
-    ae = ParallelCorpus(copies, piv, piv, weight=autoenc_weight, noise=noise)
+    noised = noise if joint_vocab.blank_id is not None else None
+    ae = ParallelCorpus(copies, piv, piv, weight=autoenc_weight, noise=noised)
     model = init_params(config, joint_vocab, piv_vocab, seed)
     return train(
         model,
@@ -437,21 +444,32 @@ def finetune(
     src_tgt: tuple,
     schedule: TrainSchedule,
     seed: int,
-    adapter: AdapterMatrix | None = None,
+    adapter: Checkpoint | None = None,
     allow_adapter_after_stepwise: bool = False,
 ) -> Checkpoint:
     """Continue training on source-target data with all groups unfrozen:
     `src_tgt` is (training corpora, validation corpus).
 
-    The adapter (when given) is attached to the model as the frozen
-    `adapter/m`: it is applied to encoder outputs for the whole run, and the
-    returned checkpoint holds it. Combining an adapter with a step-wise
-    pre-trained checkpoint is refused unless explicitly overridden, since the
-    decoder is already trained against this encoder's output space.
+    The adapter (when given) is a checkpoint holding exactly `adapter/m`
+    (see `adapter.fit_adapter`), fit on the source vocabulary of `ckpt`. It
+    is attached to the model as the frozen `adapter/m`: it is applied to
+    encoder outputs for the whole run, and the returned checkpoint holds it.
+    A checkpoint that already holds an adapter keeps it and its provenance
+    record. Combining an adapter with a step-wise pre-trained checkpoint is
+    refused unless explicitly overridden, since the decoder is already
+    trained against this encoder's output space.
     """
     train_corpora, val_corpus = src_tgt
     if not any(len(c) for c in train_corpora):
         raise TrainingError("fine-tuning needs a non-empty corpus (zero-shot is decode-only)")
+    record = ckpt.provenance.get("adapter") if "adapter/m" in ckpt.params else None
+    if adapter is not None:
+        if set(adapter.params) != {"adapter/m"}:
+            raise AdapterError(f"an adapter holds exactly adapter/m, not {sorted(adapter.params)}")
+        if adapter.src_vocab_hash != ckpt.src_vocab_hash:
+            raise VocabMismatchError("the adapter was fit on another source vocabulary")
+        record = {"provenance": adapter.provenance["provenance"],
+                  "pooling": adapter.provenance["pooling"], "position": "post_encoder_norm"}
     recipe_chain = _provenance_recipes(ckpt.provenance)
     if adapter is not None and any("stepwise" in r for r in recipe_chain):
         if not allow_adapter_after_stepwise:
@@ -462,7 +480,7 @@ def finetune(
         log.warning("adapter combined with step-wise checkpoint (override in effect)")
     model = model_of(ckpt, src_vocab, tgt_vocab)
     if adapter is not None:
-        model.attach_adapter(adapter.m)
+        model.attach_adapter(adapter.params["adapter/m"])
     out = train(
         model,
         train_corpora,
@@ -472,9 +490,7 @@ def finetune(
         recipe="finetune",
         parents=[ckpt.provenance],
     )
-    if adapter is not None:
-        out.provenance["adapter"] = {"provenance": adapter.provenance, "pooling": adapter.pooling,
-                                     "position": "post_encoder_norm"}
+    out.provenance["adapter"] = record
     return out
 
 

@@ -1,21 +1,19 @@
-"""Adapter fitting: pooling, Procrustes exactness and optimality, packaging."""
+"""Adapter fitting: pooling, Procrustes exactness and optimality, the
+adapter checkpoint, and the pool-then-SVD path it replaced as the oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pivotnmt.adapter import (
-    AdapterError,
-    AdapterMatrix,
-    PooledPairs,
-    collect_pairs,
-    fit_adapter,
-    make_baseline_adapter,
-    pool_sentence,
-)
-from pivotnmt.data import ParallelCorpus
-from tests.test_model import tiny_model
+from pivotnmt.adapter import AdapterError, fit_adapter, pool_sentence, procrustes
+from pivotnmt.checkpoint import Checkpoint
+from pivotnmt.data import ParallelCorpus, pad_rows
+from tests.test_model import baseline_adapter, tiny_model
+
+
+def orthogonality_error(m):
+    return np.abs(m.T @ m - np.eye(m.shape[0])).max()
 
 
 def random_orthogonal_givens(d: int, seed: int, sweeps: int = 3) -> np.ndarray:
@@ -71,10 +69,9 @@ def test_pool_excludes_padding_and_rejects_all_pad():
 def test_identity_recovery_when_sides_equal():
     rng = np.random.default_rng(0)
     s = rng.standard_normal((16, 200))
-    m = fit_adapter(PooledPairs(s=s, p=s.copy(), pooling="average"))
-    assert np.abs(m.m - np.eye(16)).max() <= 1e-8
-    assert m.orthogonality_error <= 1e-8
-    assert m.provenance == "procrustes"
+    m = procrustes(s, s.copy())
+    assert np.abs(m - np.eye(16)).max() <= 1e-8
+    assert orthogonality_error(m) <= 1e-8
 
 
 def test_exact_recovery_of_orthogonal_map():
@@ -82,10 +79,10 @@ def test_exact_recovery_of_orthogonal_map():
     rng = np.random.default_rng(1)
     s = rng.standard_normal((d, n))
     r = random_orthogonal_givens(d, seed=42)
-    m = fit_adapter(PooledPairs(s=s, p=r @ s, pooling="average"))
-    assert np.linalg.norm(m.m - r) <= 1e-6
-    assert m.orthogonality_error <= 1e-8
-    assert m.fit_residual <= 1e-6 * np.linalg.norm(s)
+    m = procrustes(s, r @ s)
+    assert np.linalg.norm(m - r) <= 1e-6
+    assert orthogonality_error(m) <= 1e-8
+    assert np.linalg.norm(m @ s - r @ s) <= 1e-6 * np.linalg.norm(s)
 
 
 def test_monte_carlo_optimality():
@@ -93,8 +90,7 @@ def test_monte_carlo_optimality():
     rng = np.random.default_rng(2)
     s = rng.standard_normal((d, n))
     p = rng.standard_normal((d, n))
-    m = fit_adapter(PooledPairs(s=s, p=p, pooling="max"))
-    best = np.linalg.norm(m.m @ s - p)
+    best = np.linalg.norm(procrustes(s, p) @ s - p)
     for k in range(1000):
         q = random_orthogonal_givens(d, seed=1000 + k, sweeps=2)
         assert best <= np.linalg.norm(q @ s - p) + 1e-9
@@ -104,9 +100,7 @@ def test_scale_invariance():
     rng = np.random.default_rng(3)
     s = rng.standard_normal((8, 40))
     p = rng.standard_normal((8, 40))
-    m1 = fit_adapter(PooledPairs(s=s, p=p, pooling="average"))
-    m2 = fit_adapter(PooledPairs(s=2.5 * s, p=2.5 * p, pooling="average"))
-    np.testing.assert_allclose(m1.m, m2.m, atol=1e-10)
+    np.testing.assert_allclose(procrustes(s, p), procrustes(2.5 * s, 2.5 * p), atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -116,55 +110,38 @@ def test_column_permutation_invariance(seed):
     s = rng.standard_normal((6, 30))
     p = rng.standard_normal((6, 30))
     perm = rng.permutation(30)
-    m1 = fit_adapter(PooledPairs(s=s, p=p, pooling="average"))
-    m2 = fit_adapter(PooledPairs(s=s[:, perm], p=p[:, perm], pooling="average"))
-    np.testing.assert_allclose(m1.m, m2.m, atol=1e-9)
+    np.testing.assert_allclose(procrustes(s, p), procrustes(s[:, perm], p[:, perm]), atol=1e-9)
 
 
 def test_non_finite_pooled_values_rejected():
     s = np.ones((4, 5))
     p = np.ones((4, 5))
     p[2, 2] = np.inf
+    with pytest.raises(AdapterError, match="non-finite"):
+        procrustes(s, p)
     with pytest.raises(AdapterError):
-        fit_adapter(PooledPairs(s=s, p=p, pooling="average"))
+        procrustes(s, p[:, :4])
 
 
 # ---------------------------------------------------------------------------
-# baselines and file format
+# the baselines the tests use
 # ---------------------------------------------------------------------------
 
 def test_identity_baseline_exact():
-    a = make_baseline_adapter("identity", 6)
-    assert np.array_equal(a.m, np.eye(6))
-    assert a.provenance == "identity"
+    assert np.array_equal(baseline_adapter("identity", 6), np.eye(6))
 
 
 def test_random_baseline_seeded_and_non_orthogonal():
-    a = make_baseline_adapter("random", 16, seed=5)
-    b = make_baseline_adapter("random", 16, seed=5)
-    c = make_baseline_adapter("random", 16, seed=6)
-    assert np.array_equal(a.m, b.m)
-    assert not np.array_equal(a.m, c.m)
-    assert a.orthogonality_error > 1e-4
-
-
-def test_adapter_file_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    s = rng.standard_normal((8, 30))
-    m = fit_adapter(PooledPairs(s=s, p=rng.standard_normal((8, 30)), pooling="max"))
-    p1 = tmp_path / "a.adapter"
-    m.save(p1)
-    loaded = AdapterMatrix.load(p1)
-    assert np.array_equal(loaded.m, m.m)
-    assert loaded.pooling == "max" and loaded.provenance == "procrustes"
-    assert loaded.orthogonality_error == m.orthogonality_error
-    assert loaded.fit_residual == m.fit_residual
-    loaded.save(tmp_path / "b.adapter")
-    assert (tmp_path / "a.adapter").read_bytes() == (tmp_path / "b.adapter").read_bytes()
+    a = baseline_adapter("random", 16, seed=5)
+    b = baseline_adapter("random", 16, seed=5)
+    c = baseline_adapter("random", 16, seed=6)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert orthogonality_error(a) > 1e-4
 
 
 # ---------------------------------------------------------------------------
-# pair collection through encoders
+# fitting through encoders
 # ---------------------------------------------------------------------------
 
 def toy_src_piv_corpus(model, n=10):
@@ -179,27 +156,79 @@ def toy_src_piv_corpus(model, n=10):
     return ParallelCorpus(pairs=pairs, src_lang="src", tgt_lang="piv")
 
 
-def test_collect_pairs_shapes_and_duplicates():
-    model = tiny_model(dtype="float32")
-    corpus = toy_src_piv_corpus(model, n=8)
+def reference_pooled(model, sentences, mode, batch_size=64):
+    """Pooled encoder states (d, n), one column per sentence, as the pairs
+    collection before `fit_adapter` pooled each side."""
+    vocab = model.src_vocab
+    cols = []
+    for lo in range(0, len(sentences), batch_size):
+        ids = [vocab.encode(s) + [vocab.eos_id] for s in sentences[lo : lo + batch_size]]
+        mat = pad_rows(ids, vocab.pad_id)
+        for states, row in zip(model.encode(mat), mat):
+            cols.append(pool_sentence(states, mode, pad_mask=row == vocab.pad_id))
+    return np.stack(cols, axis=1).astype(np.float64)
+
+
+def reference_fit(corpus, src_encoder, piv_encoder, mode, max_pairs=None, seed=0):
+    """The path `fit_adapter` replaced: pool each side of the (sub)corpus
+    through its encoder, then the SVD of P S^T. Returns (m, s, p)."""
+    work = corpus.subset(max_pairs, seed) if max_pairs is not None else corpus
+    s = reference_pooled(src_encoder, [a for a, _ in work.pairs], mode)
+    p = reference_pooled(piv_encoder, [b for _, b in work.pairs], mode)
+    u, _, vt = np.linalg.svd(p @ s.T)
+    return u @ vt, s, p
+
+
+@pytest.mark.parametrize("mode", ["average", "max"])
+def test_fit_adapter_equals_the_pool_then_svd_reference_bitwise(mode):
+    src, piv = tiny_model(dtype="float32"), tiny_model(seed=1, dtype="float32")
+    corpus = toy_src_piv_corpus(src, n=8)
     corpus.pairs.append(corpus.pairs[0])
-    pooled = collect_pairs(corpus, model, model, mode="average")
-    assert pooled.s.shape == (8, 9) and pooled.p.shape == (8, 9)
-    np.testing.assert_allclose(pooled.s[:, 0], pooled.s[:, 8], atol=1e-7)
+    want, s, p = reference_fit(corpus, src, piv, mode)
+    assert s.shape == (8, 9) and p.shape == (8, 9)
+    np.testing.assert_allclose(s[:, 0], s[:, 8], atol=1e-7)  # a duplicate pools alike
+
+    ck = fit_adapter(corpus, src, piv, mode=mode)
+    assert set(ck.params) == {"adapter/m"} and ck.config == {}
+    m = ck.params["adapter/m"]
+    assert m.dtype == np.float64 and m.tobytes() == want.tobytes()
+    assert ck.src_vocab_hash == src.src_vocab.content_hash()
+    assert ck.tgt_vocab_hash == piv.src_vocab.content_hash()
+    assert ck.provenance == {
+        "recipe": "fit_adapter", "provenance": "procrustes", "pooling": mode,
+        "orthogonality_error": orthogonality_error(want),
+        "fit_residual": np.linalg.norm(want @ s - p),
+    }
 
 
-def test_collect_pairs_seeded_subset_deterministic():
+def test_fit_adapter_seeded_subset_deterministic():
     model = tiny_model(dtype="float32")
     corpus = toy_src_piv_corpus(model, n=12)
-    a = collect_pairs(corpus, model, model, mode="average", max_pairs=5, seed=3)
-    b = collect_pairs(corpus, model, model, mode="average", max_pairs=5, seed=3)
-    np.testing.assert_array_equal(a.s, b.s)
-    assert a.n == 5
+    a = fit_adapter(corpus, model, model, mode="average", max_pairs=5, seed=3)
+    b = fit_adapter(corpus, model, model, mode="average", max_pairs=5, seed=3)
+    assert a.content_hash() == b.content_hash()
+    want, s, _ = reference_fit(corpus, model, model, "average", max_pairs=5, seed=3)
+    assert s.shape[1] == 5
+    assert a.params["adapter/m"].tobytes() == want.tobytes()
 
 
-def test_collect_pairs_dim_mismatch():
+def test_fit_adapter_dim_mismatch():
     a = tiny_model(dtype="float32")
     big = tiny_model(dtype="float32")
     big.config.model_dim = 16
     with pytest.raises(AdapterError):
-        collect_pairs(toy_src_piv_corpus(a), a, big)
+        fit_adapter(toy_src_piv_corpus(a), a, big)
+    with pytest.raises(AdapterError, match="empty"):
+        fit_adapter(ParallelCorpus(pairs=[], src_lang="src", tgt_lang="piv"), a, a)
+
+
+def test_adapter_file_round_trip(tmp_path):
+    model = tiny_model(dtype="float32")
+    fit = fit_adapter(toy_src_piv_corpus(model), model, model, mode="max")
+    fit.save(tmp_path / "a.ckpt")
+    loaded = Checkpoint.load(tmp_path / "a.ckpt")
+    assert loaded.params["adapter/m"].tobytes() == fit.params["adapter/m"].tobytes()
+    assert loaded.provenance == fit.provenance
+    assert (loaded.src_vocab_hash, loaded.tgt_vocab_hash) == (fit.src_vocab_hash, fit.tgt_vocab_hash)
+    loaded.save(tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pivotnmt import bpe, decoding
 from pivotnmt import tensor as T
-from pivotnmt.adapter import make_baseline_adapter
 from pivotnmt.bleu import BleuError, bleu
 from pivotnmt.data import ParallelCorpus
 from pivotnmt.decoding import (
@@ -24,6 +23,7 @@ from pivotnmt.decoding import (
 )
 from pivotnmt.model import DecodeState, ModelConfig, Seq2SeqModel, init_params
 from pivotnmt.training import TrainSchedule, checkpoint_of, model_of, train
+from tests.test_model import baseline_adapter
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_decode_deterministic(copy_model):
 def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
     """Beam search that re-runs the decoder over every whole prefix at every
     step, on the tape layers, and never stops a sentence early: the
-    reference for `beam_search_batch`. `adapter` (an `AdapterMatrix`) is
+    reference for `beam_search_batch`. `adapter` (a d x d matrix) is
     applied explicitly to the encoder states of a model that carries none.
     Appends its step count to `steps` if given."""
     sv, tv = model.src_vocab, model.tgt_vocab
@@ -220,7 +220,7 @@ def reference_beam_search(model, src_id_lists, cfg, adapter=None, steps=None):
     model.set_train(False)
     memory = model._encoder(T, src)
     if adapter is not None:
-        memory = T.matmul(memory, T.transpose(T.Tensor(adapter.m, dtype=memory.dtype)))
+        memory = T.matmul(memory, T.transpose(T.Tensor(adapter, dtype=memory.dtype)))
     memory = memory.data.reshape(src.shape + (-1,))
     dec = model._decoder_weights(T)
 
@@ -316,9 +316,9 @@ def test_beam_search_matches_full_recompute_reference(copy_model, beam, alpha):
 @pytest.mark.parametrize("beam", [1, 4])
 def test_beam_search_of_an_adapter_model_matches_the_explicit_adapter_reference(copy_model, beam):
     model, corpus = copy_model
-    adapter = make_baseline_adapter("random", model.config.model_dim, seed=4)
+    adapter = baseline_adapter("random", model.config.model_dim, seed=4)
     adapted = model_of(checkpoint_of(model, {}), model.src_vocab, model.tgt_vocab)
-    adapted.attach_adapter(adapter.m)
+    adapted.attach_adapter(adapter)
     ids = source_ids(model, [s for s, _ in corpus.pairs[:12]] + [[]])
     cfg = BeamConfig(beam_size=beam)
     got = beam_search_batch(adapted, ids, cfg)

@@ -7,7 +7,8 @@ import pytest
 
 from pivotnmt import bpe
 from pivotnmt import tensor as T
-from pivotnmt.adapter import collect_pairs, make_baseline_adapter
+from pivotnmt.adapter import fit_adapter
+from pivotnmt.checkpoint import Checkpoint
 from pivotnmt.data import Batch, ParallelCorpus
 from pivotnmt.decoding import BeamConfig, beam_search_batch
 from pivotnmt.model import (
@@ -26,18 +27,40 @@ def tiny_model(seed=0, dtype="float64", dropout=0.0, **kw) -> Seq2SeqModel:
     return init_params(cfg, tiny_vocab("s", 7), tiny_vocab("t", 9), seed)
 
 
+def baseline_adapter(kind: str, d: int, seed: int = 0) -> np.ndarray:
+    """The identity or a seeded random (non-orthogonal) d x d adapter matrix,
+    in double precision as a fit is."""
+    if kind == "identity":
+        return np.eye(d, dtype=np.float64)
+    a = np.sqrt(3.0 / d)
+    return np.random.default_rng(seed).uniform(-a, a, size=(d, d)).astype(np.float64)
+
+
+def adapter_checkpoint(m, src_vocab, kind: str) -> Checkpoint:
+    """The adapter matrix `m` packaged as `fit_adapter` packages a fit over
+    the source vocabulary `src_vocab`: what `finetune` takes."""
+    return Checkpoint(
+        params={"adapter/m": m},
+        config={},
+        src_vocab_hash=src_vocab.content_hash(),
+        tgt_vocab_hash=src_vocab.content_hash(),
+        provenance={"recipe": "baseline", "provenance": kind, "pooling": "none"},
+    )
+
+
 def with_adapter(model, adapter) -> Seq2SeqModel:
-    """A second model with the weights of `model` that carries `adapter`."""
+    """A second model with the weights of `model` that carries the adapter
+    matrix `adapter`."""
     twin = init_params(model.config, model.src_vocab, model.tgt_vocab, 0)
     twin.load_param_arrays(model.clone_params())
-    twin.attach_adapter(adapter.m)
+    twin.attach_adapter(adapter)
     return twin
 
 
 def apply_adapter(memory, adapter):
-    """The tape path's adapter step, `adapter` applied explicitly to the
-    encoder states (rows, d) of a model that carries none."""
-    return T.matmul(memory, T.transpose(T.Tensor(adapter.m, dtype=memory.dtype)))
+    """The tape path's adapter step, the matrix `adapter` applied explicitly
+    to the encoder states (rows, d) of a model that carries none."""
+    return T.matmul(memory, T.transpose(T.Tensor(adapter, dtype=memory.dtype)))
 
 
 def random_batch(model, rng, b=3, ls=5, lt=6) -> Batch:
@@ -100,7 +123,7 @@ def test_encode_shape_and_oov():
 def test_adapter_identity_matches_plain_encode():
     model = tiny_model()
     ids = np.array([[4, 5, 6, 2]])
-    ident = make_baseline_adapter("identity", 8)
+    ident = baseline_adapter("identity", 8)
     a = model.encode(ids)
     b = with_adapter(model, ident).encode(ids)
     np.testing.assert_allclose(a, b, atol=1e-12)
@@ -109,25 +132,25 @@ def test_adapter_identity_matches_plain_encode():
 def test_adapter_linearity_exact():
     model = tiny_model()
     ids = np.array([[4, 5, 6], [5, 6, 4]])
-    adapter = make_baseline_adapter("random", 8, seed=3)
+    adapter = baseline_adapter("random", 8, seed=3)
     plain = model.encode(ids)
     mapped = with_adapter(model, adapter).encode(ids)
-    direct = plain.reshape(-1, 8) @ adapter.m.T
+    direct = plain.reshape(-1, 8) @ adapter.T
     np.testing.assert_array_equal(mapped.reshape(-1, 8), direct)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_attach_adapter_adds_a_frozen_parameter_in_the_model_dtype(dtype):
     model = tiny_model(dtype=dtype)
-    adapter = make_baseline_adapter("random", 8, seed=3)
-    model.attach_adapter(adapter.m)
+    adapter = baseline_adapter("random", 8, seed=3)
+    model.attach_adapter(adapter)
     m = model.params["adapter/m"]
     assert not m.requires_grad
-    assert m.data.tobytes() == adapter.m.astype(dtype).tobytes()
+    assert m.data.tobytes() == adapter.astype(dtype).tobytes()
     assert model.param_names("adapter") == ["adapter/m"]
     assert "adapter/m" not in model.frozen_param_names(ENCODER_SIDE_GROUPS)
     with pytest.raises(ModelError, match="already has an adapter"):
-        model.attach_adapter(adapter.m)
+        model.attach_adapter(adapter)
     with pytest.raises(ModelError, match="shape"):
         tiny_model().attach_adapter(np.eye(4))
 
@@ -309,7 +332,7 @@ def test_step_logits_match_decode_states_with_reorder_and_adapter():
     sv, tv = model.src_vocab, model.tgt_vocab
     src = rng.integers(sv.n_special, len(sv), size=(2, 5))
     src[0, 3:] = sv.pad_id  # padded source
-    model.attach_adapter(make_baseline_adapter("random", 8, seed=3).m)
+    model.attach_adapter(baseline_adapter("random", 8, seed=3))
     memory = model.encode(src)
     state = model.start_decode(memory, src)
 
@@ -467,7 +490,7 @@ def broadcast_mask(blocked, shape):
 def reference_forward_loss(model, batch, adapter=None):
     """The training loss through the elementary tape primitives, one op per
     node, with a 3-D residual stream: the chain the fused primitives
-    replace, kept as their oracle. `adapter` (an `AdapterMatrix`) is applied
+    replace, kept as their oracle. `adapter` (a d x d matrix) is applied
     explicitly, as the model applied it when it was an argument; `model`
     itself carries none."""
     src, tgt = batch.src, batch.tgt
@@ -524,7 +547,7 @@ def test_fused_training_loss_and_every_gradient_equal_the_primitive_chain_bitwis
     model = tiny_model(dtype="float32", dropout=0.3, layers=2)
     rng = np.random.default_rng(13)
     batch = random_batch(model, rng, b=4, ls=6, lt=7)
-    adapter = make_baseline_adapter("random", 8, seed=2) if case == "adapter" else None
+    adapter = baseline_adapter("random", 8, seed=2) if case == "adapter" else None
     if case == "encoder_frozen":
         freeze(model, {"encoder", "src_embed"})
 
@@ -558,7 +581,7 @@ def test_array_path_equals_tape_path_bitwise(dtype, adapted):
     src = padded_source(plain, rng)
     tgt = rng.integers(tv.n_special, len(tv), size=(3, 5))
     tgt[1, -2:] = tv.pad_id
-    adapter = make_baseline_adapter("random", 8, seed=5) if adapted else None
+    adapter = baseline_adapter("random", 8, seed=5) if adapted else None
     model = with_adapter(plain, adapter) if adapted else plain
     dec_in = plain.decoder_input(tgt)
 
@@ -646,6 +669,6 @@ def test_non_finite_parameter_raises_on_every_inference_path(name, index, poolin
         model.token_logprobs(Batch(src=src, tgt=tgt))
     if pooling_reads_it:
         with pytest.raises(T.NonFiniteError):
-            collect_pairs(corpus, model, model)
+            fit_adapter(corpus, model, model)
     else:  # pooling runs the encoder only
-        assert np.isfinite(collect_pairs(corpus, model, model).s).all()
+        assert np.isfinite(fit_adapter(corpus, model, model).params["adapter/m"]).all()

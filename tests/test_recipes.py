@@ -167,6 +167,12 @@ def test_the_cache_digest_covers_every_setting_a_cached_stage_reads():
     wb.ckpt_multilingual("many2many", zeroshot=True)
     wb.ckpt_multilingual("many2one")
     assert spy.read == set(STAGE_SETTINGS)
+    # an adapter is cached under a key that names the two settings it reads
+    # beside its parents
+    spy.read.clear()
+    wb.adapter("plain")
+    wb.adapter("xenc")
+    assert spy.read == {"adapter_pooling", "adapter_pairs"}
 
 
 @pytest.mark.parametrize(
@@ -197,3 +203,17 @@ def test_only_a_setting_the_parents_read_retrains_them(run, cache_dir, tmp_path,
     swept = Workbench(TINY_WORLD, replace(tiny_settings(), **override), 3, cache_dir=stages)
     run_recipe(swept, "plain+adapter")
     assert trained == retrained
+
+
+def test_an_adapter_pooling_sweep_over_filled_stages_fits_a_fresh_adapter(run, cache_dir,
+                                                                          tmp_path):
+    average = run("plain+adapter")  # fills the stages, the average-pooled adapter included
+    assert any(p.name.endswith("--adapter-plain-average-100.ckpt") for p in cache_dir.iterdir())
+    stages = tmp_path / "stages"
+    shutil.copytree(cache_dir, stages)
+    settings = replace(tiny_settings(), adapter_pooling="max")
+    swept = run_recipe(Workbench(TINY_WORLD, settings, 3, cache_dir=stages), "plain+adapter")
+    fresh = run_recipe(Workbench(TINY_WORLD, settings, 3), "plain+adapter")
+    for key in ("checkpoint_hash", "test_bleu", "val_bleu"):
+        assert getattr(swept, key) == getattr(fresh, key)
+    assert swept.checkpoint_hash != average.checkpoint_hash

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pivotnmt import bpe, fileio, training
 from pivotnmt import tensor as T
-from pivotnmt.adapter import make_baseline_adapter
+from pivotnmt.adapter import AdapterError
 from pivotnmt.checkpoint import Checkpoint, CheckpointError
 from pivotnmt.data import ParallelCorpus, make_batches
 from pivotnmt.model import ModelConfig, ModelError, init_params
@@ -15,6 +15,7 @@ from pivotnmt.training import (
     ScheduleTracker,
     TrainSchedule,
     TrainingError,
+    VocabMismatchError,
     checkpoint_of,
     finetune,
     model_of,
@@ -24,6 +25,7 @@ from pivotnmt.training import (
     train,
     validation_perplexity,
 )
+from tests.test_model import adapter_checkpoint, baseline_adapter
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +549,7 @@ def test_finetune_rejects_empty_corpus_and_guards_adapter():
         provenance={"recipe": "stepwise.stage2", "parents": []},
     )
     corpus = word_corpus(WORDS_S, WORDS_T, 20, seed=1, src_lang="src", tgt_lang="tgt")
-    adapter = make_baseline_adapter("identity", 16)
+    adapter = adapter_checkpoint(baseline_adapter("identity", 16), sv, "identity")
     with pytest.raises(TrainingError):
         finetune(
             stepwise_like, sv, tv, ([corpus], val), quick_schedule(max_updates=5), seed=0,
@@ -561,6 +563,17 @@ def test_finetune_rejects_empty_corpus_and_guards_adapter():
     assert ck.provenance["adapter"]["provenance"] == "identity"
     assert ck.params["adapter/m"].tobytes() == np.eye(16, dtype=np.float32).tobytes()
 
+    # an adapter fit on an encoder of another source vocabulary
+    elsewhere = adapter_checkpoint(np.eye(16), tv, "identity")
+    with pytest.raises(VocabMismatchError, match="another source vocabulary"):
+        finetune(child, sv, tv, ([corpus], val), quick_schedule(), seed=0, adapter=elsewhere)
+    # a model checkpoint is no adapter, and neither is one with more parameters
+    for params in (a.params, {"adapter/m": np.eye(16), "adapter/b": np.zeros(16)}):
+        not_one = adapter_checkpoint(np.eye(16), sv, "identity")
+        not_one.params = params
+        with pytest.raises(AdapterError, match="exactly adapter/m"):
+            finetune(child, sv, tv, ([corpus], val), quick_schedule(), seed=0, adapter=not_one)
+
 
 def test_an_adapter_child_keeps_its_adapter_frozen_through_reload_and_finetune(tmp_path):
     a, b, sv, tv = two_parents()
@@ -568,10 +581,12 @@ def test_an_adapter_child_keeps_its_adapter_frozen_through_reload_and_finetune(t
     corpus = word_corpus(WORDS_S, WORDS_T, 20, seed=1, src_lang="src", tgt_lang="tgt")
     val = word_corpus(WORDS_S, WORDS_T, 8, seed=0, src_lang="src", tgt_lang="tgt")
     data, schedule = ([corpus], val), quick_schedule(max_updates=5)
-    adapter = make_baseline_adapter("random", 16, seed=2)
+    m = baseline_adapter("random", 16, seed=2)
+    adapter = adapter_checkpoint(m, sv, "random")
     with pytest.raises(ModelError, match="shape"):
-        finetune(child, sv, tv, data, schedule, seed=0, adapter=make_baseline_adapter("identity", 8))
-    want = adapter.m.astype(np.float32).tobytes()
+        small = adapter_checkpoint(baseline_adapter("identity", 8), sv, "identity")
+        finetune(child, sv, tv, data, schedule, seed=0, adapter=small)
+    want = m.astype(np.float32).tobytes()
     finetune(child, sv, tv, data, schedule, seed=0, adapter=adapter).save(tmp_path / "child.ckpt")
     tuned = Checkpoint.load(tmp_path / "child.ckpt")
     assert tuned.params["adapter/m"].tobytes() == want
@@ -581,13 +596,18 @@ def test_an_adapter_child_keeps_its_adapter_frozen_through_reload_and_finetune(t
 
     again = finetune(tuned, sv, tv, data, schedule, seed=1)
     assert again.params["adapter/m"].tobytes() == want
+    assert again.provenance["adapter"] == tuned.provenance["adapter"]
+    assert tuned.provenance["adapter"] == {"provenance": "random", "pooling": "none",
+                                           "position": "post_encoder_norm"}
     assert again.group_hash("decoder") != tuned.group_hash("decoder")  # the rest trained
     with pytest.raises(ModelError, match="already has an adapter"):
         finetune(tuned, sv, tv, data, schedule, seed=0, adapter=adapter)
     # surgery copies encoder-side and decoder-side groups only: a parent
-    # that carries an adapter is refused, never stripped of it
-    with pytest.raises(TrainingError, match="surgery"):
+    # that carries an adapter, on either side, is refused, never stripped of it
+    with pytest.raises(TrainingError, match="encoder parent holds an adapter"):
         plain_transfer_init(tuned, b)
+    with pytest.raises(TrainingError, match="decoder parent holds an adapter"):
+        plain_transfer_init(a, tuned)
 
 
 def test_tag_prepended_exactly_once():
