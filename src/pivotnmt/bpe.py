@@ -252,9 +252,10 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
             first = f.readline()
-            if not first.startswith("#"):
-                raise BpeError(f"vocabulary file {path} is missing its header comment")
-            n_special = int(first.split(":")[1].split()[0])
+            _, colon, count = first.partition(":")
+            if not first.startswith("#") or not colon or not count.split():
+                raise BpeError(f"vocabulary file {path} lacks its header '# ...: <n> specials'")
+            n_special = int(count.split()[0])
             tokens = [line.rstrip("\n") for line in f]
         return cls(tokens=tokens, n_special=n_special)
 

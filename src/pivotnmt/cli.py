@@ -2,11 +2,13 @@
 
 Subcommands cover corpus generation, the subword pipeline, training and
 transfer operations, decoding, scoring, and named end-to-end recipes.
-`recipe` writes each run under its own directory and records the run's
-report and config in a manifest with their content hashes; `report`
-re-verifies those hashes and fails loudly on any mismatch. The other
-commands write the files their flags name and record no hashes (`gen-toy`
-adds a manifest of its world's seed and corpus sizes).
+`recipe` writes each run as one file, `<out>/<name>--seed<seed>/report.json`,
+sealed by a `sha256` key over its other keys, and its `config` is the
+resolved config the run used. `recipe` reuses a run only when its report
+reads, its seal holds and its config equals the one asked for; `report`
+re-checks the seal and fails loudly on a mismatch. The other commands write
+the files their flags name and record no hashes (`gen-toy` adds a manifest
+of its world's seed and corpus sizes).
 
 A command that takes `--config` reads a JSON object with two sections,
 `world` (a `ToyWorldSpec`) and `settings` (a `recipes.Settings`), each over
@@ -39,7 +41,8 @@ Errors exit nonzero with one machine-parseable line on stderr:
     error code=<class> msg="<details>"
 where <class>, chosen from the exception's type, is one of usage (exit 2),
 missing-input (3), invalid-config (4, malformed config or input files),
-hash-mismatch (5, vocabulary or manifest hashes disagree) or runtime (1).
+hash-mismatch (5, vocabulary hashes disagree or a report's seal does not
+hold) or runtime (1).
 """
 
 from __future__ import annotations
@@ -49,19 +52,19 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bpe
 from .adapter import AdapterError, fit_adapter
-from .bleu import bleu
+from .bleu import BleuError, bleu
 from .checkpoint import Checkpoint, CheckpointError
 from .data import CorpusError, ParallelCorpus
 from .decoding import pivot_translate, translate_side, translate_tokens
 from .fileio import write_atomic
-from .model import init_params
+from .model import ModelError, init_params
 from .recipes import GRIDS, RECIPES, Settings, Workbench, overridden, run_recipe
 from .toyworld import ToyWorldSpec, write_toy_corpora
 from .training import (
@@ -94,7 +97,8 @@ _ERROR_CLASSES = (
     (bpe.HashMismatchError, "hash-mismatch"),
     (FileNotFoundError, "missing-input"),
     (
-        (bpe.BpeError, CheckpointError, AdapterError, CorpusError, ValueError, KeyError),
+        (bpe.BpeError, CheckpointError, AdapterError, CorpusError, ModelError, TrainingError,
+         BleuError, ValueError, KeyError),
         "invalid-config",
     ),
 )
@@ -106,56 +110,25 @@ def _error_class(e: Exception) -> str:
     return next((code for types, code in _ERROR_CLASSES if isinstance(e, types)), "runtime")
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_json(path, payload):
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-class RunManifest:
-    """Artifact ledger for one run directory."""
+def _seal(report: dict) -> str:
+    """SHA-256 of a report's keys other than `sha256`, as sorted-key JSON."""
+    body = {k: v for k, v in report.items() if k != "sha256"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
 
-    def __init__(self, run_dir: Path):
-        self.run_dir = Path(run_dir)
-        self.entries = []
 
-    def add(self, path, role: str, stage: str):
-        path = Path(path)
-        self.entries.append(
-            {
-                "path": str(path.relative_to(self.run_dir)),
-                "role": role,
-                "stage": stage,
-                "sha256": _sha256_file(path),
-            }
-        )
-
-    def save(self):
-        payload = {"artifacts": sorted(self.entries, key=lambda e: e["path"])}
-        _write_json(self.run_dir / "manifest.json", payload)
-
-    @staticmethod
-    def verify(run_dir) -> list:
-        run_dir = Path(run_dir)
-        manifest_path = run_dir / "manifest.json"
-        if not manifest_path.exists():
-            return [f"missing manifest at {manifest_path}"]
-        with open(manifest_path, encoding="utf-8") as f:
-            payload = json.load(f)
-        problems = []
-        for e in payload.get("artifacts", []):
-            p = run_dir / e["path"]
-            if not p.exists():
-                problems.append(f"missing artifact {e['path']}")
-            elif _sha256_file(p) != e["sha256"]:
-                problems.append(f"hash mismatch for {e['path']}")
-        return problems
+def _read_report(run_dir) -> dict:
+    """The report of a run directory, hash-mismatch unless its seal holds."""
+    path = _require_file(Path(run_dir) / "report.json", "report")
+    report = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(report, dict):
+        raise CliError("invalid-config", f"{path} must hold a JSON object")
+    if report.get("sha256") != _seal(report):
+        raise CliError("hash-mismatch", f"{path} does not match its sha256 seal")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +260,11 @@ def cmd_train(args):
     sv, tv = _vocab(args.src_vocab), _vocab(args.tgt_vocab)
     corpus = _load_corpus(args.src_train, args.tgt_train)
     val = _load_corpus(args.src_val, args.tgt_val)
+    parents = []
     if args.init_from:
         parent = Checkpoint.load(_require_file(args.init_from, "checkpoint"))
         model = model_of(parent, sv, tv)
+        parents = [parent.provenance]
     else:
         model = init_params(settings.model, sv, tv, args.seed)
     try:
@@ -301,6 +276,7 @@ def cmd_train(args):
             seed=args.seed,
             frozen_groups=tuple(args.frozen.split(",")) if args.frozen else (),
             recipe=args.recipe_name,
+            parents=parents,
             log_path=args.log,
         )
     except TrainingError as e:  # train raises it only for a bad frozen set
@@ -452,25 +428,26 @@ def cmd_bleu(args):
 
 
 def cmd_recipe(args):
-    raw = load_experiment_config(args.config, args.set or [])
-    world, settings = experiment_pieces(raw)
+    world, settings = experiment_pieces(load_experiment_config(args.config, args.set or []))
     out_root = Path(args.out)
     names = GRIDS[args.grid] if args.grid else args.name
     cache_dir = out_root / "_stages"
     all_results = []
     for seed in args.seed:
         wb = Workbench(replace(world, seed=seed), settings, seed, cache_dir=cache_dir)
+        # as a report holds it: tuples come back from JSON as lists
+        config = json.loads(json.dumps({"world": asdict(wb.world), "settings": settings.to_dict()}))
         for name in names:
             run_dir = out_root / f"{name}--seed{seed}"
-            manifest_path = run_dir / "manifest.json"
-            if manifest_path.exists() and not args.force:
-                problems = RunManifest.verify(run_dir)
-                if not problems:
+            if not args.force:
+                try:
+                    report = _read_report(run_dir)
+                except (CliError, OSError, ValueError):
+                    report = None
+                if report is not None and report.get("config") == config:
                     print(f"{run_dir} already complete; skipping (use --force to rerun)")
-                    with open(run_dir / "report.json", encoding="utf-8") as f:
-                        all_results.append(json.load(f))
+                    all_results.append(report)
                     continue
-            manifest = RunManifest(run_dir)
             res = run_recipe(wb, name)
             report = {
                 "recipe": res.recipe,
@@ -480,15 +457,10 @@ def cmd_recipe(args):
                 "checkpoint_hash": res.checkpoint_hash,
                 "runtime_s": res.runtime_s,
                 "details": res.report,
-                "config": raw,
+                "config": config,
             }
-            report_path = run_dir / "report.json"
-            _write_json(report_path, report)
-            config_path = run_dir / "config.json"
-            _write_json(config_path, raw)
-            manifest.add(report_path, "report", name)
-            manifest.add(config_path, "config", name)
-            manifest.save()
+            report["sha256"] = _seal(report)
+            _write_json(run_dir / "report.json", report)
             all_results.append(report)
             print(
                 f"{name} seed={seed}: test BLEU {res.test_bleu:.2f} "
@@ -512,16 +484,7 @@ def cmd_recipe(args):
 
 
 def cmd_report(args):
-    problems = RunManifest.verify(args.run)
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        raise CliError("hash-mismatch", f"{len(problems)} manifest problem(s) in {args.run}")
-    report_path = Path(args.run) / "report.json"
-    if report_path.exists():
-        print(report_path.read_text(encoding="utf-8").rstrip())
-    else:
-        print(f"manifest verified: {args.run}")
+    print(json.dumps(_read_report(args.run), indent=2, sort_keys=True))
     return 0
 
 
@@ -702,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_recipe)
 
-    p = sub.add_parser("report", help="verify a run directory's manifest and print its report")
+    p = sub.add_parser("report", help="verify a run directory's sealed report and print it")
     p.add_argument("--run", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -345,7 +345,7 @@ def stepwise_pretrain(
     architecture and encoder-side parameters and trains a new decoder.
     """
     if stage1_ckpt.src_vocab_hash != joint_vocab.content_hash():
-        raise TrainingError("stage-1 checkpoint does not use the joint vocabulary")
+        raise VocabMismatchError("stage-1 checkpoint does not use the joint vocabulary")
 
     train_corpus, val_corpus = piv_tgt
     check_vocab_coverage(

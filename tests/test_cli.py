@@ -1,11 +1,12 @@
 """The command-line interface through `cli.main`: recipe runs, stage commands
-against the Workbench stages they reproduce, manifests, exit codes."""
+against the Workbench stages they reproduce, sealed reports, exit codes."""
 
 import argparse
+import hashlib
 import json
 import shutil
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +58,24 @@ def recipe_out(tmp_path_factory):
     return out, config
 
 
-def test_recipe_writes_report_config_and_manifest(recipe_out):
+def _resolved(config: dict, seed: int) -> dict:
+    """The resolved config a run of `config` at `seed` records, as JSON reads it."""
+    world, settings = experiment_pieces(config)
+    resolved = {"world": asdict(replace(world, seed=seed)), "settings": settings.to_dict()}
+    return json.loads(json.dumps(resolved))
+
+
+def test_recipe_writes_one_sealed_report(recipe_out):
     out, _ = recipe_out
     run_dir = out / "direct--seed1"
+    assert [p.name for p in run_dir.iterdir()] == ["report.json"]
     report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
-    assert set(report) == REPORT_KEYS
+    assert set(report) == REPORT_KEYS | {"sha256"}
     assert report["recipe"] == "direct" and report["seed"] == 1
-    assert json.loads((run_dir / "config.json").read_text(encoding="utf-8")) == TINY_CONFIG
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert {a["path"] for a in manifest["artifacts"]} == {"report.json", "config.json"}
+    assert report["config"] == _resolved(TINY_CONFIG, 1)
+    body = {k: v for k, v in report.items() if k != "sha256"}
+    assert report["sha256"] == hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
     assert main(["report", "--run", str(run_dir)]) == 0
 
 
@@ -75,6 +85,23 @@ def test_recipe_rerun_skips_a_complete_run(recipe_out, capsys):
     assert main(["recipe", "--name", "direct", "--config", str(config), "--out", str(out)]) == 0
     assert "already complete; skipping" in capsys.readouterr().out
     assert (out / "direct--seed1" / "report.json").read_text(encoding="utf-8") == report
+
+
+def test_recipe_reruns_a_run_made_under_another_config(recipe_out, tmp_path, capsys):
+    out, config = recipe_out
+    runs, fresh = tmp_path / "runs", tmp_path / "fresh"
+    shutil.copytree(out / "direct--seed1", runs / "direct--seed1")
+    capsys.readouterr()
+    other = ["recipe", "--name", "direct", "--config", str(config),
+             "--set", "settings.finetune.max_updates=3"]
+    assert main([*other, "--out", str(runs)]) == 0
+    assert "already complete" not in capsys.readouterr().out
+    assert main([*other, "--out", str(fresh)]) == 0
+    rerun, want = (json.loads((root / "direct--seed1" / "report.json").read_text(encoding="utf-8"))
+                   for root in (runs, fresh))
+    assert rerun["config"]["settings"]["finetune"]["max_updates"] == 3
+    for key in ("config", "checkpoint_hash"):
+        assert rerun[key] == want[key]
 
 
 def test_an_interrupted_recipe_reuses_its_finished_stages(recipe_out, tmp_path, monkeypatch):
@@ -103,7 +130,7 @@ def test_an_interrupted_recipe_reuses_its_finished_stages(recipe_out, tmp_path, 
         main(argv)
     assert trained == ["pretrain-src-piv-sep", "pretrain-piv-tgt-sep"]
     assert [p.name.split("--", 1)[1] for p in (out / "_stages").iterdir()] == ["sep-src-piv.ckpt"]
-    assert not (out / "plain--seed1" / "manifest.json").exists()
+    assert not (out / "plain--seed1" / "report.json").exists()
 
     trained.clear()
     assert main(argv) == 0
@@ -126,6 +153,23 @@ def test_report_on_a_tampered_run_exits_hash_mismatch(recipe_out, tmp_path, caps
     (run_dir / "report.json").write_text(json.dumps(report), encoding="utf-8")
     assert main(["report", "--run", str(run_dir)]) == 5
     assert "code=hash-mismatch" in capsys.readouterr().err
+
+
+def test_report_on_an_unsealed_or_missing_report(recipe_out, tmp_path, capsys):
+    out, _ = recipe_out
+    run_dir = tmp_path / "run"
+    shutil.copytree(out / "direct--seed1", run_dir)
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    del report["sha256"]
+    (run_dir / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    assert main(["report", "--run", str(run_dir)]) == 5
+    assert "code=hash-mismatch" in capsys.readouterr().err
+    (run_dir / "report.json").write_text("{not json", encoding="utf-8")
+    assert main(["report", "--run", str(run_dir)]) == 4
+    assert "code=invalid-config" in capsys.readouterr().err
+    (run_dir / "report.json").unlink()
+    assert main(["report", "--run", str(run_dir)]) == 3
+    assert "code=missing-input" in capsys.readouterr().err
 
 
 def test_unknown_recipe_is_a_usage_error_that_creates_nothing(tmp_path, capsys):
@@ -701,6 +745,97 @@ def test_exit_codes_follow_the_exception_class(artifacts, tmp_path, capsys):
     codes = [line.split()[1] for line in err if line.startswith("error ")]
     assert codes == ["code=hash-mismatch", "code=invalid-config", "code=hash-mismatch",
                      "code=hash-mismatch", "code=invalid-config", "code=invalid-config"]
+
+
+def _finetune(p, tmp_path, ckpt, *extra, src="input", tgt="target"):
+    """`finetune` of the checkpoint `p[ckpt]` (source vocabulary a, target b)
+    on the corpus `p[src]`/`p[tgt]`, two updates, into `tmp_path`."""
+    return ["finetune", "--set", "settings.finetune.max_updates=2", "--ckpt", p[ckpt],
+            "--src-vocab", p["a"], "--tgt-vocab", p["b"], "--src-train", p[src],
+            "--tgt-train", p[tgt], "--src-val", p["input"], "--tgt-val", p["target"],
+            "--out", str(tmp_path / "tuned.ckpt"), *extra]
+
+
+def _bad_input(case, p, tmp_path):
+    """The argv of the bad-input `case` over the `artifacts` files."""
+    vocab = lambda name: bpe.Vocabulary.load(p[name])
+    config = ModelConfig(layers=1, model_dim=8, ff_dim=16, heads=2)
+    if case == "finetune an adapter child through another adapter":
+        model = init_params(config, vocab("a"), vocab("b"), 0)
+        model.attach_adapter(np.eye(8))
+        p["child"] = str(tmp_path / "child.ckpt")
+        checkpoint_of(model, {}).save(p["child"])
+        adapter_checkpoint(np.eye(8), vocab("a"), "identity").save(tmp_path / "ad.ckpt")
+        return _finetune(p, tmp_path, "child", "--adapter", str(tmp_path / "ad.ckpt"))
+    if case == "finetune on an empty corpus":
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+        p["empty"] = str(tmp_path / "empty.txt")
+        return _finetune(p, tmp_path, "ab", src="empty", tgt="empty")
+    if case == "stepwise over another joint vocabulary":
+        return ["stepwise", "--stage1", p["ab"], "--joint-vocab", p["b"], "--tgt-vocab", p["c"],
+                *(x for f in ("src", "tgt", "val-src", "val-tgt")
+                  for x in (f"--piv-tgt-{f}", p["target"])),
+                "--out", str(tmp_path / "never.ckpt")]
+    if case == "transfer-init of parents of two widths":
+        wide = replace(config, model_dim=16, ff_dim=32)
+        p["wide"] = str(tmp_path / "wide.ckpt")
+        checkpoint_of(init_params(wide, vocab("b2"), vocab("c"), 0), {}).save(p["wide"])
+        return ["transfer-init", "--encoder-parent", p["ab"], "--decoder-parent", p["wide"],
+                "--out", str(tmp_path / "never.ckpt")]
+    if case == "bleu of unequal line counts":
+        return ["bleu", "--hyp", p["input"], "--ref", p["two_lines"]]
+    if case == "decode of a line longer than max_len":
+        (tmp_path / "long.txt").write_text("a1 " * 80 + "\n", encoding="utf-8")
+        p["input"] = str(tmp_path / "long.txt")
+        return _decode(p, "ab", "a")
+    assert case == "decode with a vocabulary header without a count"
+    (tmp_path / "headless.vocab").write_text("# pivotnmt vocab\n", encoding="utf-8")
+    p["headless"] = str(tmp_path / "headless.vocab")
+    return _decode(p, "ab", "headless")
+
+
+@pytest.mark.parametrize("case, code", [
+    ("finetune an adapter child through another adapter", 4),
+    ("finetune on an empty corpus", 4),
+    ("stepwise over another joint vocabulary", 5),
+    ("transfer-init of parents of two widths", 4),
+    ("bleu of unequal line counts", 4),
+    ("decode of a line longer than max_len", 4),
+    ("decode with a vocabulary header without a count", 4),
+])
+def test_bad_inputs_exit_with_their_class(artifacts, tmp_path, capsys, case, code):
+    p = dict(artifacts)
+    (tmp_path / "target.txt").write_text("b1 b2\n", encoding="utf-8")
+    (tmp_path / "two_lines.txt").write_text("a1\na2\n", encoding="utf-8")
+    p["target"], p["two_lines"] = str(tmp_path / "target.txt"), str(tmp_path / "two_lines.txt")
+    assert main(_bad_input(case, p, tmp_path)) == code
+    klass = {4: "invalid-config", 5: "hash-mismatch"}[code]
+    assert f"code={klass}" in capsys.readouterr().err
+    assert not (tmp_path / "never.ckpt").exists() and not (tmp_path / "tuned.ckpt").exists()
+
+
+def test_train_init_from_records_its_parent_for_the_adapter_guard(artifacts, tmp_path, capsys):
+    p = dict(artifacts)
+    (tmp_path / "target.txt").write_text("b1 b2\n", encoding="utf-8")
+    p["target"] = str(tmp_path / "target.txt")
+    va, vb = bpe.Vocabulary.load(p["a"]), bpe.Vocabulary.load(p["b"])
+    config = ModelConfig(layers=1, model_dim=8, ff_dim=16, heads=2)
+    stage2 = tmp_path / "stage2.ckpt"
+    checkpoint_of(init_params(config, va, vb, 0), {"recipe": "stepwise.stage2"}).save(stage2)
+    p["child"] = str(tmp_path / "child.ckpt")
+    assert main(["train", "--set", "settings.pretrain.max_updates=2", "--init-from", str(stage2),
+                 "--src-train", p["input"], "--tgt-train", p["target"], "--src-val", p["input"],
+                 "--tgt-val", p["target"], "--src-vocab", p["a"], "--tgt-vocab", p["b"],
+                 "--out", p["child"]]) == 0
+    assert Checkpoint.load(p["child"]).provenance["parents"] == [{"recipe": "stepwise.stage2"}]
+    adapter = tmp_path / "ad.ckpt"
+    adapter_checkpoint(np.eye(8), va, "identity").save(adapter)
+    argv = _finetune(p, tmp_path, "child", "--adapter", str(adapter))
+    assert main(argv) == 4
+    assert "code=invalid-config" in capsys.readouterr().err
+    assert not (tmp_path / "tuned.ckpt").exists()
+    assert main([*argv, "--force-adapter"]) == 0
+    assert "adapter/m" in Checkpoint.load(tmp_path / "tuned.ckpt").params
 
 
 def test_every_subcommand_renders_its_help(capsys):
